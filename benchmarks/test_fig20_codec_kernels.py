@@ -48,16 +48,14 @@ def _best(fn, repeat=REPEAT):
 def _kernel_decode(blob: bytes, codec: str):
     """Time only the codec layer: per-block ``decode_reads``."""
     archive = SAGeArchive.from_bytes(blob)
-    parent = SAGeDecompressor(archive, codec=codec)
-    children = [SAGeDecompressor(archive.block_view(i),
-                                 consensus=parent.consensus, codec=codec)
-                for i in range(archive.n_blocks)]
+    decoder = SAGeDecompressor(archive, codec=codec)
+    blocks = [archive.block(i) for i in range(archive.n_blocks)]
     kernel = get_kernel(codec)
 
     def run():
         out = []
-        for child in children:
-            out.extend(kernel.decode_reads(child))
+        for block in blocks:
+            out.extend(kernel.decode_reads(decoder, block))
         return out
 
     return _best(run)

@@ -232,23 +232,23 @@ class SAGeDataset:
         cfg = config if config is not None else options.compressor_config()
         totals: SourceTotals | None = None
 
-        if isinstance(source, ReadSet):
-            totals = _totals_of(source)
-            if options.blocked:
-                archive = BlockCompressor(consensus, cfg,
-                                          options=options).compress(source)
-            else:
-                archive = SAGeCompressor(consensus, cfg).compress(source)
-        elif isinstance(source, (str, Path)):
-            if options.blocked:
+        # block_reads=0 on one worker: one block holding every read.
+        one_block = options.block_reads == 0 and options.workers == 1
+        if isinstance(source, (str, Path)):
+            if not one_block:
                 archive, totals = cls._compress_stream(
                     fastq.iter_read_sets(source,
                                          options.effective_block_reads),
                     consensus, cfg, options)
+                return cls(archive, options=options, source_totals=totals)
+            source = fastq.read_file(source)
+        if isinstance(source, ReadSet):
+            totals = _totals_of(source)
+            if one_block:
+                archive = SAGeCompressor(consensus, cfg).compress(source)
             else:
-                read_set = fastq.read_file(source)
-                totals = _totals_of(read_set)
-                archive = SAGeCompressor(consensus, cfg).compress(read_set)
+                archive = BlockCompressor(consensus, cfg,
+                                          options=options).compress(source)
         else:
             # Pre-chunked stream: one block per yielded ReadSet.
             archive, totals = cls._compress_stream(source, consensus,
@@ -371,20 +371,11 @@ class SAGeDataset:
     # Persistence
     # ------------------------------------------------------------------
 
-    def to_bytes(self, *, version: int | None = None) -> bytes:
-        """Serialize the archive.
+    def to_bytes(self) -> bytes:
+        """Serialize the archive (always the checksummed v4 layout)."""
+        return self._archive.to_bytes()
 
-        ``version`` picks the container layout explicitly; ``None``
-        defers to ``options.format_version`` (``0`` = preserve a loaded
-        archive's version, write the checksummed v4 for newly built
-        archives).
-        """
-        if version is None:
-            version = self.options.format_version or None
-        return self._archive.to_bytes(version)
-
-    def save(self, path: str | Path, *,
-             version: int | None = None) -> int:
+    def save(self, path: str | Path) -> int:
         """Write the archive to ``path`` atomically; returns the byte
         count.
 
@@ -393,7 +384,7 @@ class SAGeDataset:
         never leaves a half archive behind.
         """
         self._require_open()
-        blob = self.to_bytes(version=version)
+        blob = self.to_bytes()
         atomic_write_bytes(path, blob)
         self.path = Path(path)
         return len(blob)

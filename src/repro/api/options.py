@@ -49,7 +49,7 @@ class EngineOptions:
         ``INFLIGHT_PER_WORKER`` default).
     block_reads:
         Reads per independently decodable block when compressing.
-        ``0`` writes a flat single-section archive unless ``workers``
+        ``0`` writes one block holding every read, unless ``workers > 1``
         forces blocking (then :data:`DEFAULT_BLOCK_READS` applies).
     level:
         Optimization level (an :class:`OptLevel` or its name, e.g.
@@ -88,11 +88,6 @@ class EngineOptions:
     block_timeout:
         Per-block decode timeout in seconds for pooled backends
         (``None`` = no limit; the serial backend cannot time out).
-    format_version:
-        Container version ``SAGeDataset.save``/``to_bytes`` write:
-        ``4`` (checksummed), ``3`` (pre-checksum layout), or ``0`` =
-        auto (preserve a loaded archive's version; write 4 for newly
-        built archives).
     streams:
         Explicit stream-selective decode override: a tuple of stream
         group names from
@@ -116,7 +111,6 @@ class EngineOptions:
     on_error: str = "raise"
     block_retries: int = 1
     block_timeout: float | None = None
-    format_version: int = 0
     streams: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -143,8 +137,8 @@ class EngineOptions:
                 f"got {self.prefetch!r}")
         if self.block_reads < 0:
             raise ValueError(
-                f"block_reads must be >= 0 (0 = flat single-section "
-                f"archive), got {self.block_reads!r}")
+                f"block_reads must be >= 0 (0 = one block), "
+                f"got {self.block_reads!r}")
         if self.codec != "auto" and self.codec not in available_kernels():
             raise ValueError(
                 f"unknown codec {self.codec!r}; expected 'auto' or one "
@@ -163,10 +157,6 @@ class EngineOptions:
             raise ValueError(
                 f"block_timeout must be > 0 seconds (or None for no "
                 f"limit), got {self.block_timeout!r}")
-        if self.format_version not in (0, 3, 4):
-            raise ValueError(
-                f"format_version must be 0 (auto), 3, or 4, "
-                f"got {self.format_version!r}")
         if self.streams is not None:
             if isinstance(self.streams, str):
                 streams: tuple[str, ...] = (self.streams,)
@@ -185,11 +175,6 @@ class EngineOptions:
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
-
-    @property
-    def blocked(self) -> bool:
-        """Whether compression should produce a multi-block archive."""
-        return self.block_reads > 0 or self.workers > 1
 
     @property
     def effective_block_reads(self) -> int:
@@ -251,7 +236,6 @@ class EngineOptions:
             "on_error": self.on_error,
             "block_retries": self.block_retries,
             "block_timeout": self.block_timeout,
-            "format_version": self.format_version,
             "streams": list(self.streams) if self.streams is not None
             else None,
         }

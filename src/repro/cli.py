@@ -29,8 +29,9 @@ facade: flags build one :class:`repro.api.EngineOptions` (validated in
 one place), ``compress`` is ``SAGeDataset.from_fastq(...).save(...)``,
 the consume-side commands are ``SAGeDataset.open(...)`` sessions.
 ``--block-reads M`` partitions the input into independently decodable
-blocks of ``M`` reads (the v3 container's random-access unit) and
-streams the FASTQ instead of loading it whole; ``--workers N``
+blocks of ``M`` reads (the container's random-access unit) and streams
+the FASTQ instead of loading it whole (``0``, the default, writes one
+block holding every read); ``--workers N``
 compresses/decodes blocks on ``N`` processes with bounded prefetch,
 byte-identical for every ``N``.  ``sage cat --block I`` decodes a single
 block without touching the rest of the archive; ``sage analyze`` runs
@@ -92,19 +93,18 @@ def _cmd_compress(args: argparse.Namespace) -> int:
                               level=args.level,
                               with_quality=not args.no_quality,
                               codec=args.codec,
-                              mapper=args.mapper,
-                              format_version=args.format_version)
+                              mapper=args.mapper)
     dataset = SAGeDataset.from_fastq(args.input,
                                      reference=args.consensus,
                                      options=options)
     nbytes = dataset.save(args.output)
     totals = dataset.source_totals
     archive = dataset.archive
-    block_note = f", {archive.n_blocks} blocks" if options.blocked else ""
     dna = max(1, archive.dna_byte_size())
     print(f"{args.input}: {totals.fastq_bytes} B -> {nbytes} B "
           f"(ratio {totals.fastq_bytes / nbytes:.2f}, "
-          f"DNA ratio {totals.bases / dna:.2f}{block_note})")
+          f"DNA ratio {totals.bases / dna:.2f}, "
+          f"{archive.n_blocks} blocks)")
     return 0
 
 
@@ -291,9 +291,9 @@ def _archive_info(archive: SAGeArchive) -> dict:
     """
     index = archive.block_index()
     stream_totals: dict = dict.fromkeys(STREAM_NAMES, 0)
-    stream_totals["consensus"] = archive.streams["consensus"][1]
+    stream_totals["consensus"] = archive.consensus_stream[1]
     dna_byte_size = archive.header_fixed_nbytes() \
-        + len(archive.streams["consensus"][0])
+        + len(archive.consensus_stream[0])
     extra_bytes = 0
     damaged = False
     blocks_info = []
@@ -383,14 +383,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                   f"{'yes' if archive.block(0).quality else 'no'}")
         except SAGeError:
             print("quality: unknown (block 0 is damaged)")
-        if archive.is_blocked:
-            for i, entry in enumerate(archive.block_index()):
-                print(f"  block {i:<4} {entry.n_reads:>8} reads "
-                      f"{entry.nbytes:>10} B @ {entry.offset}")
-        for name in sorted(archive.streams if not archive.is_blocked
-                           else ["consensus"]):
-            print(f"  stream {name:<10} "
-                  f"{archive.stream_bits(name):>12} bits")
+        for i, entry in enumerate(archive.block_index()):
+            print(f"  block {i:<4} {entry.n_reads:>8} reads "
+                  f"{entry.nbytes:>10} B @ {entry.offset}")
+        print(f"  stream {'consensus':<10} "
+              f"{archive.consensus_stream[1]:>12} bits")
         try:
             for key, table in archive.block(0).tables.items():
                 print(f"  table  {key:<10} widths {table.widths}")
@@ -733,11 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for block compression")
     p.add_argument("--block-reads", type=int, default=0,
                    help="reads per independently decodable block "
-                        "(0 = single-block archive)")
-    p.add_argument("--format-version", type=int, default=0,
-                   choices=[0, 3, 4],
-                   help="container version to write (4 = checksummed, "
-                        "3 = pre-checksum layout, 0 = auto)")
+                        "(0 = one block holding every read)")
     _add_codec_flag(p)
     _add_mapper_flag(p)
     p.set_defaults(func=_cmd_compress)

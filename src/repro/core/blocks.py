@@ -7,8 +7,7 @@ blocks of ``block_reads`` reads, each block is compressed independently
 with the per-read planning/encoding machinery of
 :class:`~repro.core.compressor.SAGeCompressor`, and the resulting
 :class:`~repro.core.container.SAGeBlock` sections are assembled into one
-``VERSION = 3`` :class:`~repro.core.container.SAGeArchive` with a
-top-level block index.
+:class:`~repro.core.container.SAGeArchive` with a top-level block index.
 
 Because blocks are independent, compression parallelizes across worker
 processes — and because each block is a pure function of
@@ -41,8 +40,8 @@ from .formats import pack_bits
 from .mismatch import SizeBreakdown
 
 __all__ = ["BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
-           "BlockCompressor", "BlockDescriptor", "block_from_archive",
-           "compress_blocked", "imap_bounded", "partition_reads"]
+           "BlockCompressor", "BlockDescriptor", "compress_blocked",
+           "imap_bounded", "partition_reads"]
 
 
 class BlockDescriptor(NamedTuple):
@@ -112,8 +111,7 @@ def _compress_chunk(consensus: np.ndarray, config: SAGeConfig,
         memo = (consensus, config,
                 SAGeCompressor(consensus, config, shared_index=index))
         _chunk_compressor = memo
-    archive = memo[2].compress(chunk)
-    return block_from_archive(archive)
+    return memo[2].compress(chunk).block(0)
 
 
 def _init_worker(consensus: np.ndarray, config: SAGeConfig,
@@ -128,11 +126,6 @@ def _compress_chunk_pooled(chunk: ReadSet) -> SAGeBlock:
     assert _worker_state is not None, "worker initializer did not run"
     consensus, config, index = _worker_state
     return _compress_chunk(consensus, config, chunk, index)
-
-
-def block_from_archive(archive: SAGeArchive) -> SAGeBlock:
-    """Strip a flat archive down to its per-block section."""
-    return archive._as_block()
 
 
 # sage-lint: disable-next=SGL003 - pre-facade compression knobs, kept for deprecated shims
@@ -216,7 +209,7 @@ def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
 
 
 class BlockCompressor:
-    """Compresses a read stream into a blocked v3 archive.
+    """Compresses a read stream into a multi-block archive.
 
     Parameters
     ----------
@@ -350,8 +343,7 @@ class BlockCompressor:
             n_unmapped=sum(b.n_unmapped for b in blocks),
             consensus_length=int(self.consensus.size),
             w_rlen=max(b.w_rlen for b in blocks),
-            w_cons=w_cons, tables={},
-            streams={"consensus": consensus_stream},
+            w_cons=w_cons, consensus_stream=consensus_stream,
             preserve_order=self.config.preserve_order,
             blocks=list(blocks), block_reads=self.block_reads,
             breakdown=_merge_breakdowns(blocks), name=name)
@@ -386,9 +378,9 @@ def compress_blocked(reads: ReadSet | Iterable[ReadSet],
                      workers: int | None = None) -> SAGeArchive:
     """One-shot convenience wrapper around :class:`BlockCompressor`.
 
-    Always produces a blocked archive; loose ``block_reads``/``workers``
-    kwargs are deprecated in favour of ``options``
-    (:class:`repro.api.EngineOptions`).
+    Always partitions into blocks of ``options.effective_block_reads``
+    reads; loose ``block_reads``/``workers`` kwargs are deprecated in
+    favour of ``options`` (:class:`repro.api.EngineOptions`).
     """
     options = _resolve_compress_options(
         options, block_reads=block_reads, workers=workers,

@@ -8,9 +8,9 @@ Every written bit is charged to a Fig. 17 category via
 :class:`~repro.core.mismatch.SizeBreakdown`, and all optimization levels
 NO/O1/O2/O3/O4 are supported so the ablation decodes losslessly too.
 
-:meth:`SAGeCompressor.compress` produces a flat (single-section) archive,
-serialized as a one-block v3 container; :mod:`repro.core.blocks` wraps
-this machinery to build multi-block archives from a read stream.
+:meth:`SAGeCompressor.compress` produces a one-block archive;
+:mod:`repro.core.blocks` wraps this machinery to build multi-block
+archives from a read stream.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..mapping.mapper import MapperConfig, MappingResult, ReadMapper
 from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitWriter
-from .container import STREAM_NAMES, SAGeArchive
+from .container import BLOCK_STREAM_NAMES, SAGeArchive, SAGeBlock
 from .kernels import resolve_kernel
 from .formats import pack_bits
 from .mismatch import (INDEL_DEL, INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB,
@@ -323,9 +323,11 @@ class SAGeCompressor:
 
         # ---- stream writers (kernel-provided sinks) ----
         kernel = resolve_kernel(cfg.codec)
-        writers = {name: kernel.new_writer(name) for name in STREAM_NAMES}
+        writers = {name: kernel.new_writer(name)
+                   for name in BLOCK_STREAM_NAMES}
 
-        self._write_consensus(writers["consensus"], breakdown)
+        consensus = pack_bits(self.consensus, 2)
+        breakdown.charge("consensus", 8 * len(consensus))
 
         # ---- column passes: streams owned by a single field kind are
         # emitted as one batched run per block.  Byte-identical to the
@@ -373,17 +375,23 @@ class SAGeCompressor:
                 scores, order1=cfg.quality_order1)
             breakdown.charge("quality", 8 * quality_blob.byte_size)
 
-        streams = {name: (w.getvalue(), w.bit_length)
-                   for name, w in writers.items()}
+        block = SAGeBlock(
+            n_mapped=len(plans), n_unmapped=len(unmapped),
+            long_reads=long_reads, fixed_length=fixed_length,
+            fixed_read_length=fixed_len, w_rlen=w_rlen, tables=tables,
+            streams={name: (w.getvalue(), w.bit_length)
+                     for name, w in writers.items()},
+            quality=quality_blob, headers_blob=headers_blob,
+            breakdown=breakdown,
+            permutation=np.array(permutation, dtype=np.int64))
         archive = SAGeArchive(
             level=level, long_reads=long_reads, fixed_length=fixed_length,
             fixed_read_length=fixed_len, n_mapped=len(plans),
             n_unmapped=len(unmapped), consensus_length=self.consensus.size,
-            w_rlen=w_rlen, w_cons=w_cons, tables=tables, streams=streams,
-            quality=quality_blob, breakdown=breakdown,
-            preserve_order=cfg.preserve_order, headers_blob=headers_blob,
-            permutation=np.array(permutation, dtype=np.int64),
-            name=read_set.name)
+            w_rlen=w_rlen, w_cons=w_cons,
+            consensus_stream=(consensus, 8 * len(consensus)),
+            blocks=[block], preserve_order=cfg.preserve_order,
+            breakdown=breakdown, name=read_set.name)
         breakdown.charge("header", 8 * archive.header_bytes_estimate())
         return archive
 
@@ -406,13 +414,6 @@ class SAGeCompressor:
                 for _ in range(ev.length):
                     out.append(_Event(DEL, ev.pos, 1, ev.bases, ev.marker))
         return out
-
-    def _write_consensus(self, writer: BitWriter,
-                         breakdown: SizeBreakdown) -> None:
-        payload = pack_bits(self.consensus, 2)
-        start = writer.bit_length
-        writer.write_bytes(payload)
-        breakdown.charge("consensus", writer.bit_length - start)
 
     def _write_read(self, plan: _ReadPlan, events: list[_Event],
                     writers: dict[str, BitWriter],
@@ -610,7 +611,7 @@ def compress(read_set: ReadSet, consensus: np.ndarray,
     """Deprecated one-shot wrapper; use the :class:`SAGeDataset` facade.
 
     Forwards to ``repro.api.SAGeDataset.from_fastq(...)`` — the archive
-    is byte-identical to the historical flat-compression path.
+    is byte-identical to :meth:`SAGeCompressor.compress`.
     """
     warn_once("repro.core.compress",
               "repro.core.compress() is deprecated; use "

@@ -15,10 +15,10 @@ The **version 4** layout is v3 plus end-to-end integrity digests: a
 CRC32 over the global header, a CRC32 over the consensus payload, and a
 CRC32 per block payload carried in the block index — so a flipped bit
 anywhere is *detected* and *localized* to one block instead of decoding
-into silent garbage.  Version 2 (the monolithic pre-block layout) and
-version 3 blobs are still read by :meth:`SAGeArchive.from_bytes`, and
-:meth:`SAGeArchive.to_bytes` re-emits any still-supported version;
-re-serializing a loaded archive preserves its version byte-identically.
+into silent garbage.  Version 4 is the only layout written.  Version 2
+(the monolithic pre-block layout) and version 3 blobs still load through
+:meth:`SAGeArchive.from_bytes` — a v2 blob as a one-block archive — and
+re-serialize as v4.
 
 Byte layout (v4; v3 is the same without the ``crc`` fields)::
 
@@ -58,13 +58,13 @@ from .prefix_codes import AssociationTable
 
 MAGIC = 0x53414745  # "SAGE"
 
-#: Current (checksummed) layout and the default write version.
+#: Current (checksummed) layout: the only version written.
 VERSION = 4
 
-#: Block-based layout without integrity digests, still fully supported.
+#: Block-based layout without integrity digests, still readable.
 V3_VERSION = 3
 
-#: Legacy monolithic layout, still readable (and writable on demand).
+#: Legacy monolithic layout, still readable (loads as one block).
 V2_VERSION = 2
 
 #: Streams in serialization order.  ``consensus`` is the packed consensus;
@@ -76,16 +76,14 @@ STREAM_NAMES = ("consensus", "mpga", "mpa", "mmpga", "mmpa", "mbta",
 BLOCK_STREAM_NAMES = STREAM_NAMES[1:]
 
 #: Table identifiers in serialization order.
-_TABLE_ORDER = ("mp", "count", "mmp", "len", "indel")
+TABLE_ORDER = ("mp", "count", "mmp", "len", "indel")
 
-#: Bits per v3 block-index entry (n_mapped 40 + n_unmapped 40 + size 32);
-#: v4 appends a 32-bit payload CRC.
-_INDEX_ENTRY_BITS = 112
+#: Bytes per v4 block-index entry: n_mapped 40 + n_unmapped 40 +
+#: size 32 + payload crc32 32 bits.
+_INDEX_ENTRY_NBYTES = 18
 
-
-def _index_entry_bits(version: int) -> int:
-    return _INDEX_ENTRY_BITS + 32 if version >= VERSION \
-        else _INDEX_ENTRY_BITS
+#: Bytes of v4 consensus framing: bits 40 + nbytes 24 + crc32 32 bits.
+_CONSENSUS_FRAMING_NBYTES = 12
 
 
 def _checksum(payload: bytes) -> int:
@@ -95,12 +93,12 @@ def _checksum(payload: bytes) -> int:
 
 @dataclass(frozen=True)
 class BlockIndexEntry:
-    """One entry of the v3/v4 top-level block index."""
+    """One entry of the top-level block index."""
 
     n_mapped: int
     n_unmapped: int
     nbytes: int            # serialized payload length
-    offset: int            # payload byte offset within the blocked blob
+    offset: int            # payload byte offset within the blob
     #: CRC32 of the serialized payload (``None`` for v3 archives, which
     #: carry no digests).
     crc32: int | None = None
@@ -112,7 +110,7 @@ class BlockIndexEntry:
 
 @dataclass
 class SAGeBlock:
-    """One independently decodable section of a v3 archive.
+    """One independently decodable section of an archive.
 
     A block is the unit of parallel compression, random access, and
     SSD-channel striping.  It is self-contained up to the shared
@@ -180,7 +178,7 @@ class SAGeBlock:
         writer.write(self.n_mapped, 40)
         writer.write(self.n_unmapped, 40)
         writer.write(self.w_rlen, 6)
-        for key in _TABLE_ORDER:
+        for key in TABLE_ORDER:
             present = key in self.tables
             writer.write_bit(present)
             if present:
@@ -245,7 +243,7 @@ class SAGeBlock:
         n_unmapped = reader.read(40)
         w_rlen = reader.read(6)
         tables: dict[str, AssociationTable] = {}
-        for key in _TABLE_ORDER:
+        for key in TABLE_ORDER:
             if reader.read_bit():
                 tables[key] = AssociationTable.deserialize(reader)
         reader.align_to_byte()
@@ -274,47 +272,18 @@ class SAGeBlock:
                    headers_blob=headers_blob)
 
 
-def block_as_archive(blk: SAGeBlock, *, level: OptLevel,
-                     consensus: tuple[bytes, int], consensus_length: int,
-                     w_cons: int, preserve_order: bool, name: str = "",
-                     source_version: int = VERSION) -> "SAGeArchive":
-    """Wrap one block as a flat, decodable single-section archive.
-
-    The single place that knows how a block combines with the shared
-    global state: :meth:`SAGeArchive.block_view` and the parallel decode
-    workers (:mod:`repro.pipeline.executor`) both build their views
-    here, which is what keeps the parallel decode byte-identical to the
-    serial one as the container evolves.
-    """
-    streams = dict(blk.streams)
-    streams["consensus"] = consensus
-    return SAGeArchive(
-        level=level, long_reads=blk.long_reads,
-        fixed_length=blk.fixed_length,
-        fixed_read_length=blk.fixed_read_length,
-        n_mapped=blk.n_mapped, n_unmapped=blk.n_unmapped,
-        consensus_length=consensus_length, w_rlen=blk.w_rlen,
-        w_cons=w_cons, tables=blk.tables, streams=streams,
-        quality=blk.quality, preserve_order=preserve_order,
-        headers_blob=blk.headers_blob, breakdown=blk.breakdown,
-        permutation=blk.permutation, name=name,
-        source_version=source_version)
-
-
 @dataclass
 class SAGeArchive:
     """An in-memory SAGe-compressed read set.
 
-    Two shapes share this class:
-
-    - **flat** (``blocks`` empty): a single-section archive, as produced
-      by :meth:`repro.core.compressor.SAGeCompressor.compress`.  The
-      top-level ``streams``/``tables``/``quality`` hold the payload.
-    - **blocked** (``blocks`` non-empty): a multi-section v3 archive from
-      :class:`repro.core.blocks.BlockCompressor` or a v3 blob.  The
-      top-level ``streams`` hold only the shared consensus; per-section
-      data lives in :class:`SAGeBlock` entries, parsed lazily from the
-      source blob so random access to block *i* touches only its bytes.
+    Global fields (totals, widths, flags), the shared consensus stream,
+    and ``blocks``: one or more independently decodable
+    :class:`SAGeBlock` sections.  Every producer yields this one shape —
+    :meth:`repro.core.compressor.SAGeCompressor.compress` a one-block
+    archive, :class:`repro.core.blocks.BlockCompressor` one block per
+    partition, :meth:`from_bytes` one block per index entry (a v2 blob
+    as one block).  Blob-loaded blocks are parsed lazily, so random
+    access to block *i* touches only its bytes.
     """
 
     level: OptLevel
@@ -326,22 +295,18 @@ class SAGeArchive:
     consensus_length: int
     w_rlen: int
     w_cons: int
-    tables: dict[str, AssociationTable]
-    streams: dict[str, tuple[bytes, int]]     # name -> (payload, bit length)
-    quality: quality_codec.QualityBlob | None = None
-    preserve_order: bool = False              # "order" stream present
-    headers_blob: bytes | None = None         # compressed read headers
-    #: Parsed per-block sections; entries may be ``None`` until lazily
-    #: parsed from the source blob (blocked archives only).
-    blocks: list[SAGeBlock | None] = field(default_factory=list)
-    #: Configured reads-per-block partition size (0 = monolithic).
+    #: The packed consensus shared by every block: (payload, bit length).
+    consensus_stream: tuple[bytes, int]
+    #: Per-block sections (at least one); entries may be ``None`` until
+    #: lazily parsed from the source blob.
+    blocks: list[SAGeBlock | None]
+    preserve_order: bool = False              # "order" streams present
+    #: Configured reads-per-block partition size (0 = one block).
     block_reads: int = 0
     # Metadata (not serialized):
     breakdown: SizeBreakdown = field(default_factory=SizeBreakdown)
-    permutation: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
     name: str = ""
-    #: Container version this archive was loaded from (3 when built).
+    #: Container version this archive was loaded from (4 when built).
     source_version: int = VERSION
 
     def __post_init__(self) -> None:
@@ -396,13 +361,7 @@ class SAGeArchive:
             view.release()
             mapped.close()
             raise
-        if archive._source_blob is None:
-            # Flat shape (v2, or a single-block v3/v4 parsed eagerly):
-            # every stream was copied out; the mapping is not needed.
-            view.release()
-            mapped.close()
-        else:
-            archive._mmap = mapped
+        archive._mmap = mapped
         archive.source_path = path
         return archive
 
@@ -457,8 +416,7 @@ class SAGeArchive:
         Only blocks re-parseable from the source blob are dropped;
         archives built in memory (no source bytes) are untouched.
         """
-        if self.blocks and self._source_blob is not None \
-                and self._index is not None:
+        if self._source_blob is not None and self._index is not None:
             self.blocks[index] = None
 
     # ------------------------------------------------------------------
@@ -466,37 +424,16 @@ class SAGeArchive:
     # ------------------------------------------------------------------
 
     @property
-    def is_blocked(self) -> bool:
-        """True for multi-section archives (see class docstring)."""
-        return bool(self.blocks)
-
-    @property
     def n_blocks(self) -> int:
         """Number of independently decodable sections (>= 1)."""
-        return len(self.blocks) if self.blocks else 1
+        return len(self.blocks)
 
     @property
     def n_reads(self) -> int:
         return self.n_mapped + self.n_unmapped
 
-    def _as_block(self) -> SAGeBlock:
-        """View a flat archive's payload as a single block."""
-        streams = {name: self.streams[name] for name in BLOCK_STREAM_NAMES}
-        return SAGeBlock(
-            n_mapped=self.n_mapped, n_unmapped=self.n_unmapped,
-            long_reads=self.long_reads, fixed_length=self.fixed_length,
-            fixed_read_length=self.fixed_read_length, w_rlen=self.w_rlen,
-            tables=self.tables, streams=streams, quality=self.quality,
-            headers_blob=self.headers_blob, breakdown=self.breakdown,
-            permutation=self.permutation)
-
     def block(self, index: int) -> SAGeBlock:
         """Section ``index``, parsing it from the source blob on demand."""
-        if not self.blocks:
-            if index == 0:
-                return self._as_block()
-            raise ContainerError(
-                f"block {index} out of range for a single-block archive")
         if not 0 <= index < len(self.blocks):
             raise ContainerError(
                 f"block {index} out of range (archive has "
@@ -548,58 +485,26 @@ class SAGeArchive:
                 offset=entry.offset)
         return payload
 
-    def block_view(self, index: int) -> "SAGeArchive":
-        """A flat single-section archive exposing only block ``index``.
-
-        The view shares the global consensus stream and metadata with
-        this archive; decoding it touches no other block's streams.
-        """
-        if not self.blocks:
-            if index == 0:
-                return self
-            raise ContainerError(
-                f"block {index} out of range for a single-block archive")
-        return block_as_archive(
-            self.block(index), level=self.level,
-            consensus=self.streams["consensus"],
-            consensus_length=self.consensus_length, w_cons=self.w_cons,
-            preserve_order=self.preserve_order, name=self.name,
-            source_version=self.source_version)
-
     def block_index(self) -> list[BlockIndexEntry]:
         """The top-level index: per-block read counts and payload sizes.
 
-        Offsets always locate the payload within the serialized v3 blob
-        (:meth:`to_bytes`), whether the archive was loaded from bytes or
+        Offsets locate each payload within the source blob for loaded
+        archives, and within the :meth:`to_bytes` blob for archives
         built in memory.
         """
         if self._index is not None:
             return self._index
-        version = self._layout_version()
-        offset = (len(self._global_header_blob(version))
-                  + self._consensus_framing_nbytes(version)
-                  + len(self.streams["consensus"][0])
-                  + (_index_entry_bits(version) // 8) * self.n_blocks)
+        offset = self.header_fixed_nbytes() + len(self.consensus_stream[0])
         entries: list[BlockIndexEntry] = []
         for i in range(self.n_blocks):
             payload = self.block_payload(i)
             blk = self.block(i)
-            crc = _checksum(payload) if version >= VERSION else None
             entries.append(BlockIndexEntry(blk.n_mapped, blk.n_unmapped,
-                                           len(payload), offset, crc))
+                                           len(payload), offset,
+                                           _checksum(payload)))
             offset += len(payload)
         self._index = entries
         return entries
-
-    def _layout_version(self) -> int:
-        """The blocked-layout version this archive's index reflects."""
-        return self.source_version if self.source_version >= V3_VERSION \
-            else VERSION
-
-    @staticmethod
-    def _consensus_framing_nbytes(version: int) -> int:
-        """Bytes of consensus framing: bits(40) + nbytes(24) [+ crc32]."""
-        return 12 if version >= VERSION else 8
 
     def block_payload(self, index: int) -> bytes:
         """Raw serialized payload of block ``index``.
@@ -609,7 +514,7 @@ class SAGeArchive:
         round trips.
         """
         if (self._source_blob is not None and self._index is not None
-                and self.blocks and self.blocks[index] is None):
+                and self.blocks[index] is None):
             return self._checked_payload(index, self._index[index])
         return self.block(index).serialize()
 
@@ -628,11 +533,8 @@ class SAGeArchive:
         a block payload, so lazy consumers (``sage inspect``) can price
         the fixed overhead without materializing any block.
         """
-        version = self._layout_version()
-        total = len(self._global_header_blob(version))
-        total += self._consensus_framing_nbytes(version)
-        total += (_index_entry_bits(version) // 8) * self.n_blocks
-        return total
+        return (len(self._global_header_blob()) + _CONSENSUS_FRAMING_NBYTES
+                + _INDEX_ENTRY_NBYTES * self.n_blocks)
 
     def header_bytes_estimate(self) -> int:
         """Serialized size of all header material (global + per block).
@@ -648,8 +550,7 @@ class SAGeArchive:
     def dna_byte_size(self) -> int:
         """Compressed size of the DNA payload (everything but quality)."""
         total = self.header_bytes_estimate()
-        payload, _ = self.streams["consensus"]
-        total += len(payload)
+        total += len(self.consensus_stream[0])
         for blk in self._parsed_blocks():
             for name in BLOCK_STREAM_NAMES:
                 _, bits = blk.streams[name]
@@ -668,25 +569,23 @@ class SAGeArchive:
 
     def stream_bits(self, name: str) -> int:
         """Total bits of stream ``name`` summed across blocks."""
-        if not self.blocks:
-            return self.streams[name][1]
         if name == "consensus":
-            return self.streams["consensus"][1]
+            return self.consensus_stream[1]
         return sum(b.streams[name][1] for b in self._parsed_blocks())
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
 
-    def _global_header_blob(self, version: int) -> bytes:
-        """The serialized global header for ``version`` (3 or 4).
+    def _global_header_blob(self) -> bytes:
+        """The serialized v4 global header.
 
-        v4 appends a CRC32 over the preceding header bytes, so any flip
-        in the global fields is detected before they are trusted.
+        It ends with a CRC32 over the preceding header bytes, so any
+        flip in the global fields is detected before they are trusted.
         """
         writer = BitWriter()
         writer.write(MAGIC, 32)
-        writer.write(version, 8)
+        writer.write(VERSION, 8)
         writer.write(int(self.level), 4)
         writer.write_bit(self.long_reads)
         writer.write_bit(self.fixed_length)
@@ -700,42 +599,23 @@ class SAGeArchive:
         writer.write(self.n_blocks, 32)
         writer.write(self.block_reads, 32)
         writer.align_to_byte()
-        if version >= VERSION:
-            writer.write(_checksum(writer.getvalue()), 32)
+        writer.write(_checksum(writer.getvalue()), 32)
         return writer.getvalue()
 
-    def to_bytes(self, version: int | None = None) -> bytes:
-        """Serialize the archive to a byte blob.
+    def to_bytes(self) -> bytes:
+        """Serialize the archive as a checksummed v4 blob.
 
-        ``version=None`` (the default) preserves the version the archive
-        was loaded from — so reload/re-save round trips are
-        byte-identical — and writes the current checksummed
-        :data:`VERSION` for archives built in memory.  ``version=4``
-        writes the checksummed block layout, ``version=3`` the same
-        layout without digests (a v4 archive downgrades byte-identically
-        to the v3 bytes it extends), and ``version=2`` the legacy
-        monolithic layout (flat archives only).
+        A loaded v4 archive re-serializes byte-identically; a v2/v3
+        archive is upgraded to v4 (its payloads are copied unchanged
+        and their digests computed).
         """
-        if version is None:
-            version = self.source_version \
-                if self.source_version in (V2_VERSION, V3_VERSION,
-                                           VERSION) else VERSION
-        if version == V2_VERSION:
-            if self.is_blocked:
-                raise ContainerError(
-                    "blocked archives cannot be written as version 2")
-            return self._to_bytes_v2()
-        if version not in (V3_VERSION, VERSION):
-            raise ContainerError(f"cannot write version {version}")
-        checksummed = version >= VERSION
         writer = BitWriter()
-        writer.write_bytes(self._global_header_blob(version))
-        payload, bits = self.streams["consensus"]
+        writer.write_bytes(self._global_header_blob())
+        payload, bits = self.consensus_stream
         writer.write(bits, 40)
         writer.write(len(payload), 24)
         writer.align_to_byte()
-        if checksummed:
-            writer.write(_checksum(payload), 32)
+        writer.write(_checksum(payload), 32)
         writer.write_bytes(payload)
         payloads = [self.block_payload(i) for i in range(self.n_blocks)]
         for i, blob in enumerate(payloads):
@@ -750,55 +630,14 @@ class SAGeArchive:
             writer.write(counts[0], 40)
             writer.write(counts[1], 40)
             writer.write(len(blob), 32)
-            if checksummed:
-                writer.write(crc if crc is not None
-                             else _checksum(blob), 32)
+            writer.write(crc if crc is not None else _checksum(blob), 32)
         for blob in payloads:
             writer.write_bytes(blob)
         return writer.getvalue()
 
-    def _to_bytes_v2(self) -> bytes:
-        writer = BitWriter()
-        writer.write(MAGIC, 32)
-        writer.write(V2_VERSION, 8)
-        writer.write(int(self.level), 4)
-        writer.write_bit(self.long_reads)
-        writer.write_bit(self.fixed_length)
-        writer.write_bit(self.quality is not None)
-        writer.write_bit(self.preserve_order)
-        writer.write_bit(self.headers_blob is not None)
-        writer.write(self.fixed_read_length, 32)
-        writer.write(self.n_mapped, 40)
-        writer.write(self.n_unmapped, 40)
-        writer.write(self.consensus_length, 40)
-        writer.write(self.w_rlen, 6)
-        writer.write(self.w_cons, 6)
-        for key in _TABLE_ORDER:
-            present = key in self.tables
-            writer.write_bit(present)
-            if present:
-                self.tables[key].serialize(writer)
-        writer.align_to_byte()
-        for name in STREAM_NAMES:
-            payload, bits = self.streams[name]
-            writer.write(bits, 40)
-            writer.write(len(payload), 24)
-            writer.align_to_byte()
-            writer.write_bytes(payload)
-        if self.quality is not None:
-            writer.write(len(self.quality.payload), 40)
-            writer.write(self.quality.n_scores, 40)
-            writer.align_to_byte()
-            writer.write_bytes(self.quality.payload)
-        if self.headers_blob is not None:
-            writer.write(len(self.headers_blob), 40)
-            writer.align_to_byte()
-            writer.write_bytes(self.headers_blob)
-        return writer.getvalue()
-
     @classmethod
     def from_bytes(cls, blob: "bytes | memoryview") -> "SAGeArchive":
-        """Deserialize an archive written by :meth:`to_bytes` (v2–v4).
+        """Deserialize an archive blob (v2–v4).
 
         ``blob`` may be any byte buffer — :meth:`open` passes a
         ``memoryview`` over an mmap, keeping block payloads unread
@@ -824,18 +663,18 @@ class SAGeArchive:
         version = reader.read(8)
         try:
             if version == V2_VERSION:
-                return cls._from_bytes_v2(reader)
-            if version in (V3_VERSION, VERSION):
-                return cls._from_bytes_blocked(reader, blob, version)
+                archive = cls._from_bytes_v2(reader)
+            elif version in (V3_VERSION, VERSION):
+                archive = cls._from_bytes_blocked(reader, blob, version)
+            else:
+                raise ContainerError(f"unsupported version {version}")
         except SAGeError:
-            raise
-        except BitIOError:           # pragma: no cover - SAGeError above
             raise
         except Exception as exc:
             raise CorruptArchiveError(
                 f"malformed archive ({exc})",
                 offset=reader.position // 8) from exc
-        raise ContainerError(f"unsupported version {version}")
+        return archive
 
     @classmethod
     def _from_bytes_blocked(cls, reader: BitReader, blob: bytes,
@@ -876,7 +715,6 @@ class SAGeArchive:
                         stream="consensus", offset=consensus_offset)
             else:
                 payload = reader.read_bytes(nbytes)
-            consensus = (payload, bits)
             raw_index: list[tuple[int, int, int, int | None]] = []
             for _ in range(n_blocks):
                 blk_mapped = reader.read(40)
@@ -889,9 +727,8 @@ class SAGeArchive:
             raise TruncatedArchiveError(
                 f"archive ends inside the global layout ({exc})",
                 offset=len(blob), actual=len(blob)) from exc
-        base = reader.position // 8
         index: list[BlockIndexEntry] = []
-        offset = base
+        offset = reader.position // 8
         for blk_mapped, blk_unmapped, blk_nbytes, blk_crc in raw_index:
             if offset + blk_nbytes > len(blob):
                 raise TruncatedArchiveError(
@@ -901,44 +738,73 @@ class SAGeArchive:
             index.append(BlockIndexEntry(blk_mapped, blk_unmapped,
                                          blk_nbytes, offset, blk_crc))
             offset += blk_nbytes
-
-        if n_blocks == 1:
-            # Flat-compatible shape: expose the single block's payload
-            # through the top-level fields, as a v2 load would.
-            entry = index[0]
-            payload = blob[entry.offset:entry.offset + entry.nbytes]
-            if (entry.crc32 is not None
-                    and _checksum(payload) != entry.crc32):
-                raise CorruptArchiveError(
-                    "block payload checksum mismatch", block_index=0,
-                    offset=entry.offset)
-            blk = SAGeBlock.deserialize(payload)
-            streams = dict(blk.streams)
-            streams["consensus"] = consensus
-            return cls(level=level, long_reads=blk.long_reads,
-                       fixed_length=blk.fixed_length,
-                       fixed_read_length=blk.fixed_read_length,
-                       n_mapped=blk.n_mapped, n_unmapped=blk.n_unmapped,
-                       consensus_length=consensus_length,
-                       w_rlen=blk.w_rlen, w_cons=w_cons,
-                       tables=blk.tables, streams=streams,
-                       quality=blk.quality, preserve_order=preserve_order,
-                       headers_blob=blk.headers_blob,
-                       block_reads=block_reads, source_version=version)
-
         archive = cls(level=level, long_reads=long_reads,
                       fixed_length=fixed_length,
                       fixed_read_length=fixed_read_length,
                       n_mapped=n_mapped, n_unmapped=n_unmapped,
                       consensus_length=consensus_length, w_rlen=w_rlen,
-                      w_cons=w_cons, tables={},
-                      streams={"consensus": consensus},
+                      w_cons=w_cons, consensus_stream=(payload, bits),
+                      blocks=[None] * n_blocks,
                       preserve_order=preserve_order,
-                      blocks=[None] * n_blocks, block_reads=block_reads,
-                      source_version=version)
+                      block_reads=block_reads, source_version=version)
         archive._source_blob = blob
         archive._index = index
         return archive
+
+    @classmethod
+    def _from_bytes_v2(cls, reader: BitReader) -> "SAGeArchive":
+        """Load the monolithic v2 layout as a one-block archive."""
+        level = OptLevel(reader.read(4))
+        long_reads = bool(reader.read_bit())
+        fixed_length = bool(reader.read_bit())
+        has_quality = bool(reader.read_bit())
+        preserve_order = bool(reader.read_bit())
+        has_headers = bool(reader.read_bit())
+        fixed_read_length = reader.read(32)
+        n_mapped = reader.read(40)
+        n_unmapped = reader.read(40)
+        consensus_length = reader.read(40)
+        w_rlen = reader.read(6)
+        w_cons = reader.read(6)
+        tables: dict[str, AssociationTable] = {}
+        for key in TABLE_ORDER:
+            if reader.read_bit():
+                tables[key] = AssociationTable.deserialize(reader)
+        reader.align_to_byte()
+
+        streams: dict[str, tuple[bytes, int]] = {}
+        for name in STREAM_NAMES:
+            bits = reader.read(40)
+            nbytes = reader.read(24)
+            reader.align_to_byte()
+            streams[name] = (reader.read_bytes(nbytes), bits)
+
+        quality = None
+        if has_quality:
+            nbytes = reader.read(40)
+            n_scores = reader.read(40)
+            reader.align_to_byte()
+            quality = quality_codec.QualityBlob(reader.read_bytes(nbytes),
+                                                n_scores)
+        headers_blob = None
+        if has_headers:
+            nbytes = reader.read(40)
+            reader.align_to_byte()
+            headers_blob = reader.read_bytes(nbytes)
+        block = SAGeBlock(n_mapped=n_mapped, n_unmapped=n_unmapped,
+                          long_reads=long_reads, fixed_length=fixed_length,
+                          fixed_read_length=fixed_read_length,
+                          w_rlen=w_rlen, tables=tables,
+                          streams={name: streams[name]
+                                   for name in BLOCK_STREAM_NAMES},
+                          quality=quality, headers_blob=headers_blob)
+        return cls(level=level, long_reads=long_reads,
+                   fixed_length=fixed_length,
+                   fixed_read_length=fixed_read_length, n_mapped=n_mapped,
+                   n_unmapped=n_unmapped, consensus_length=consensus_length,
+                   w_rlen=w_rlen, w_cons=w_cons,
+                   consensus_stream=streams["consensus"], blocks=[block],
+                   preserve_order=preserve_order, source_version=V2_VERSION)
 
     # ------------------------------------------------------------------
     # Integrity
@@ -957,14 +823,13 @@ class SAGeArchive:
         """The global-header digest a v4 serialization carries."""
         if not self.checksummed:
             return None
-        head = self._global_header_blob(VERSION)
-        return int.from_bytes(head[-4:], "big")
+        return int.from_bytes(self._global_header_blob()[-4:], "big")
 
     def consensus_crc32(self) -> int | None:
         """The consensus-payload digest a v4 serialization carries."""
         if not self.checksummed:
             return None
-        return _checksum(self.streams["consensus"][0])
+        return _checksum(self.consensus_stream[0])
 
     def verify_checksums(self) -> dict:
         """Walk the stored digests without decoding anything.
@@ -994,51 +859,3 @@ class SAGeArchive:
         else:
             statuses = ["ok"] * self.n_blocks
         return {"header": "ok", "consensus": "ok", "blocks": statuses}
-
-    @classmethod
-    def _from_bytes_v2(cls, reader: BitReader) -> "SAGeArchive":
-        level = OptLevel(reader.read(4))
-        long_reads = bool(reader.read_bit())
-        fixed_length = bool(reader.read_bit())
-        has_quality = bool(reader.read_bit())
-        preserve_order = bool(reader.read_bit())
-        has_headers = bool(reader.read_bit())
-        fixed_read_length = reader.read(32)
-        n_mapped = reader.read(40)
-        n_unmapped = reader.read(40)
-        consensus_length = reader.read(40)
-        w_rlen = reader.read(6)
-        w_cons = reader.read(6)
-        tables: dict[str, AssociationTable] = {}
-        for key in _TABLE_ORDER:
-            if reader.read_bit():
-                tables[key] = AssociationTable.deserialize(reader)
-        reader.align_to_byte()
-
-        streams: dict[str, tuple[bytes, int]] = {}
-        for name in STREAM_NAMES:
-            bits = reader.read(40)
-            nbytes = reader.read(24)
-            reader.align_to_byte()
-            streams[name] = (reader.read_bytes(nbytes), bits)
-
-        quality = None
-        if has_quality:
-            nbytes = reader.read(40)
-            n_scores = reader.read(40)
-            reader.align_to_byte()
-            quality = quality_codec.QualityBlob(reader.read_bytes(nbytes),
-                                                n_scores)
-        headers_blob = None
-        if has_headers:
-            nbytes = reader.read(40)
-            reader.align_to_byte()
-            headers_blob = reader.read_bytes(nbytes)
-        return cls(level=level, long_reads=long_reads,
-                   fixed_length=fixed_length,
-                   fixed_read_length=fixed_read_length, n_mapped=n_mapped,
-                   n_unmapped=n_unmapped, consensus_length=consensus_length,
-                   w_rlen=w_rlen, w_cons=w_cons, tables=tables,
-                   streams=streams, quality=quality,
-                   preserve_order=preserve_order,
-                   headers_blob=headers_blob, source_version=V2_VERSION)

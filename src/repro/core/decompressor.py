@@ -11,8 +11,8 @@ and RCU operate concurrently in hardware.
 The hardware functional model (:mod:`repro.hardware.sage_units`) wraps
 this decoder with cycle/byte accounting and must produce identical output.
 
-Blocked (v3) archives decode per independent section: decoding block *i*
-via :meth:`SAGeDecompressor.decompress_block` touches only that block's
+Archives decode per independent section: decoding block *i* via
+:meth:`SAGeDecompressor.decompress_block` touches only that block's
 streams plus the shared consensus — the software analog of per-channel
 parallel decode (§5.3).
 """
@@ -30,40 +30,25 @@ from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitReader
 from .compressor import INDEL_LENGTH_BITS, RAW_COUNT_BITS
-from .container import SAGeArchive
+from .container import SAGeArchive, SAGeBlock
 from .errors import (BlockDecodeError, DecompressionError,  # noqa: F401
                      SAGeError)
 from .formats import unpack_bits
-from .kernels import resolve_kernel
+from .kernels import CodecKernel, resolve_kernel
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB, OptLevel
 from .selection import StreamSelection
 
 
-def renumber_fallback_headers(read_set: ReadSet, base: int,
-                              name: str) -> ReadSet:
-    """Re-enumerate a block's fallback read headers from ``base``.
-
-    Blocks without a headers blob decode with headers counted from 0;
-    offsetting by the preceding blocks' read counts keeps headers
-    globally unique.  The in-tree block decoders now pass the offset
-    straight into :meth:`SAGeDecompressor.decompress` (``header_base``)
-    so reads are built once; this helper remains for callers holding an
-    already-decoded block.
-    """
-    name = name or "sage"
-    return ReadSet(
-        [Read(codes=r.codes, quality=r.quality,
-              header=f"{name}.{base + i}")
-         for i, r in enumerate(read_set)], name=name)
-
-
 class SAGeDecompressor:
-    """Decodes a :class:`SAGeArchive` back into reads.
+    """Decodes a :class:`SAGeArchive` back into reads, block by block.
 
-    ``codec`` picks the decode kernel (:mod:`repro.core.kernels`):
-    ``"python"`` is the bit-serial reference walk, ``"numpy"`` the
-    vectorized batch path, ``"auto"`` resolves through ``$SAGE_CODEC``
-    to the registry default.  Every kernel returns identical reads.
+    A block decodes from its own streams and tables plus the archive's
+    global fields (``level``, ``w_cons``, ``preserve_order``, ``name``)
+    and the unpacked consensus this decoder holds.  ``codec`` picks the
+    decode kernel (:mod:`repro.core.kernels`): ``"python"`` is the
+    bit-serial reference walk, ``"numpy"`` the vectorized batch path,
+    ``"auto"`` resolves through ``$SAGE_CODEC`` to the registry
+    default.  Every kernel returns identical reads.
     """
 
     # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
@@ -75,7 +60,7 @@ class SAGeDecompressor:
         # ``consensus`` lets per-block decoders reuse the parent's
         # already-unpacked consensus instead of unpacking it per block.
         if consensus is None:
-            consensus = unpack_bits(archive.streams["consensus"][0], 2,
+            consensus = unpack_bits(archive.consensus_stream[0], 2,
                                     archive.consensus_length)
         self.consensus = consensus
 
@@ -85,25 +70,16 @@ class SAGeDecompressor:
 
     # sage-lint: disable-next=SGL003 - warn-once deprecated shim routed via resolve_stream_options
     def decompress(self, *, workers: int | None = None,
-                   options=None, header_base: int | None = None,
-                   select=None) -> ReadSet:
+                   options=None, select=None) -> ReadSet:
         """Decode every read (and quality scores, if present).
 
-        Blocked (v3 multi-section) archives are decoded block by block
-        in index order; each block restores its own within-block order,
-        so the concatenation reproduces the original read order whenever
-        ``preserve_order`` was set at compression time.  ``options``
-        (:class:`repro.api.EngineOptions`) with ``workers > 1`` decodes
-        blocks in parallel through the streaming executor
-        (:mod:`repro.pipeline.executor`); the result is identical.  The
-        loose ``workers=`` kwarg is deprecated.
-
-        ``header_base`` switches generated fallback headers to *block
-        mode*: reads are named sequentially from that offset in final
-        (order-restored) positions, so block *i* continues the global
-        numbering without a second renaming pass.  ``None`` (default)
-        keeps the flat-archive naming; archives storing real headers
-        ignore it either way.
+        Blocks are decoded in index order; each block restores its own
+        within-block order, so the concatenation reproduces the
+        original read order whenever ``preserve_order`` was set at
+        compression time.  ``options`` (:class:`repro.api.EngineOptions`)
+        with ``workers > 1`` decodes blocks in parallel through the
+        streaming executor (:mod:`repro.pipeline.executor`); the result
+        is identical.  The loose ``workers=`` kwarg is deprecated.
 
         ``select`` (:class:`~repro.core.selection.StreamSelection`, a
         group-name iterable, or ``None`` = everything) limits the decode
@@ -120,13 +96,29 @@ class SAGeDecompressor:
             caller="SAGeDecompressor.decompress")
         if select is None:
             select = getattr(options, "streams", None)
-        select = StreamSelection.from_spec(select)
-        if self.archive.is_blocked:
-            return self._decompress_blocked(options, select)
+        options = options.replace(
+            streams=StreamSelection.from_spec(select).names)
+        reads: list[Read] = []
+        for block_set in self.iter_block_read_sets(options=options):
+            reads.extend(block_set)
+        return ReadSet(reads, name=self.archive.name or "sage")
+
+    def decode_block(self, blk: SAGeBlock, header_base: int,
+                     select: StreamSelection,
+                     kernel: CodecKernel | None = None) -> ReadSet:
+        """Decode one block's reads against this archive's globals.
+
+        Reads come out in final (order-restored) positions.  Blocks
+        without stored headers (or a ``select`` that skips them) name
+        reads ``{name}.{header_base + position}``, so block *i*
+        continues the archive-wide numbering when ``header_base`` is
+        the read count of the blocks before it.  ``kernel`` defaults to
+        this decoder's codec.
+        """
         if select.sequence:
+            kernel = kernel or resolve_kernel(self.codec)
             try:
-                codes = resolve_kernel(self._effective_codec(options)) \
-                    .decode_reads(self, select=select)
+                codes = kernel.decode_reads(self, blk, select=select)
             except SAGeError:
                 raise
             except (IndexError, KeyError, OverflowError, ValueError) as exc:
@@ -140,12 +132,12 @@ class SAGeDecompressor:
             # Sequence deselected: reads become empty placeholders so
             # counting consumers (and header-only passes) still see the
             # right cardinality without touching the sequence streams.
-            n_reads = self.archive.n_reads
+            n_reads = blk.n_reads
             empty = np.empty(0, dtype=np.uint8)
             codes = [empty] * n_reads
         qualities: list[np.ndarray | None] = [None] * n_reads
-        if select.quality and self.archive.quality is not None:
-            scores = quality_codec.decompress(self.archive.quality)
+        if select.quality and blk.quality is not None:
+            scores = quality_codec.decompress(blk.quality)
             offset = 0
             for i, read_codes in enumerate(codes):
                 n = read_codes.size
@@ -157,34 +149,30 @@ class SAGeDecompressor:
                     f"need {offset}")
         name = self.archive.name or "sage"
         header_list = None
-        if select.headers and self.archive.headers_blob is not None:
-            header_list = headers_codec.decompress_headers(
-                self.archive.headers_blob)
+        if select.headers and blk.headers_blob is not None:
+            header_list = headers_codec.decompress_headers(blk.headers_blob)
             if len(header_list) != n_reads:
                 raise DecompressionError(
                     f"{len(header_list)} headers for {n_reads} reads")
-        emit_order = self._emission_order(n_reads) \
+        emit_order = self._emission_order(blk, n_reads) \
             if self.archive.preserve_order and select.order else None
         indices = emit_order if emit_order is not None else range(n_reads)
         if header_list is not None:
             reads = [Read(codes=codes[j], quality=qualities[j],
                           header=header_list[j]) for j in indices]
-        elif header_base is not None:
+        else:
             reads = [Read(codes=codes[j], quality=qualities[j],
                           header=f"{name}.{header_base + position}")
                      for position, j in enumerate(indices)]
-        else:
-            reads = [Read(codes=codes[j], quality=qualities[j],
-                          header=f"{name}.{j}") for j in indices]
         return ReadSet(reads, name=name)
 
-    def _emission_order(self, n: int) -> list[int]:
+    def _emission_order(self, blk: SAGeBlock, n: int) -> list[int]:
         """``result[p]`` = emission index of the read at final slot ``p``.
 
         Inverts the matching-position reordering recorded in the
-        ``order`` stream (extension).
+        block's ``order`` stream (extension).
         """
-        payload, bits = self.archive.streams["order"]
+        payload, bits = blk.streams["order"]
         reader = BitReader(payload, bits, name="order")
         w_reads = max(1, (n - 1).bit_length()) if n else 1
         slots: list[int | None] = [None] * n
@@ -197,7 +185,7 @@ class SAGeDecompressor:
         return slots
 
     # ------------------------------------------------------------------
-    # Blocked (v3) archives: partial and streaming decompression
+    # Partial and streaming decompression
     # ------------------------------------------------------------------
 
     def _effective_codec(self, options) -> str:
@@ -214,11 +202,10 @@ class SAGeDecompressor:
                          select=None) -> ReadSet:
         """Decode only block ``index`` of the archive.
 
-        Random access: the block view shares the consensus stream but
-        reads no other block's streams, mirroring the per-channel
-        independent decode of §5.3.  On a flat archive only block 0
-        exists and equals the whole read set.  ``codec`` overrides the
-        decoder's session kernel for this block; ``select``
+        Random access: the block shares the consensus but no other
+        block's streams are read, mirroring the per-channel independent
+        decode of §5.3.  ``codec`` overrides the decoder's session
+        kernel for this block; ``select``
         (:class:`~repro.core.selection.StreamSelection` spec) limits the
         decode to the requested stream groups.
 
@@ -227,25 +214,16 @@ class SAGeDecompressor:
         block index, the unit of skip/salvage recovery.
         """
         arch = self.archive
-        select = StreamSelection.from_spec(select)
         try:
-            view = arch.block_view(index)
-            base: int | None = None       # None = flat-archive naming
-            if arch.is_blocked and (view.headers_blob is None
-                                    or not select.headers):
-                # The offset is known from the index alone; no other
-                # block is decoded, and the fallback headers come out
-                # globally numbered in one pass.  A selection that
-                # skips real headers takes the same numbering so block
-                # read names stay globally unique.
-                base = sum(entry.n_reads
-                           for entry in arch.block_index()[:index])
-            return SAGeDecompressor(view, consensus=self.consensus,
-                                    codec=codec or self.codec) \
-                .decompress(header_base=base, select=select)
-        except IndexError:
-            # Out-of-range block index is caller error, not corruption.
-            raise
+            # The offset is known from the index alone; no other block
+            # is decoded, and fallback headers come out globally
+            # numbered in one pass.
+            base = sum(entry.n_reads
+                       for entry in arch.block_index()[:index]) \
+                if index else 0
+            return self.decode_block(
+                arch.block(index), base, StreamSelection.from_spec(select),
+                resolve_kernel(codec or self.codec))
         except BlockDecodeError:
             raise
         except SAGeError as exc:
@@ -299,46 +277,32 @@ class SAGeDecompressor:
             # random access.
             self.archive.release_block(index)
 
-    def _decompress_blocked(self, options,
-                            select: StreamSelection | None = None
-                            ) -> ReadSet:
-        if select is not None:
-            options = options.replace(streams=select.names)
-        reads: list[Read] = []
-        for block_set in self.iter_block_read_sets(options=options):
-            reads.extend(block_set)
-        return ReadSet(reads, name=self.archive.name or "sage")
-
-    def make_readers(self) -> dict[str, BitReader]:
-        """Fresh sequential readers over the archive's streams.
+    def make_readers(self, blk: SAGeBlock) -> dict[str, BitReader]:
+        """Fresh sequential readers over one block's streams.
 
         Readers carry their stream name, so a malformed archive fails
         with the offending stream and bit offset in the message.
         """
         return {nm: BitReader(payload, bits, name=nm)
-                for nm, (payload, bits) in self.archive.streams.items()}
+                for nm, (payload, bits) in blk.streams.items()}
 
     def iter_read_codes(
-            self, readers: dict[str, BitReader] | None = None,
+            self, blk: SAGeBlock,
+            readers: dict[str, BitReader] | None = None,
     ) -> Iterator[np.ndarray]:
-        """Yield decoded base-code arrays in emission order.
+        """Yield one block's decoded base-code arrays in emission order.
 
         ``readers`` lets callers (the hardware model) substitute
         instrumented readers; they must wrap the same streams.
         """
-        arch = self.archive
-        if arch.is_blocked:
-            raise DecompressionError(
-                "blocked archive: decode per block via decompress_block()"
-                " / iter_block_read_sets()")
         if readers is None:
-            readers = self.make_readers()
+            readers = self.make_readers(blk)
         prev_cons = 0
-        for _ in range(arch.n_mapped):
-            codes, prev_cons = self._decode_mapped(readers, prev_cons)
+        for _ in range(blk.n_mapped):
+            codes, prev_cons = self._decode_mapped(blk, readers, prev_cons)
             yield codes
-        for _ in range(arch.n_unmapped):
-            yield self._decode_unmapped(readers["unmapped"])
+        for _ in range(blk.n_unmapped):
+            yield self._decode_unmapped(blk, readers["unmapped"])
 
     # ------------------------------------------------------------------
     # Mapped reads
@@ -348,10 +312,10 @@ class SAGeDecompressor:
         """Consensus base under the cursor (0 past the end, both sides)."""
         return int(self.consensus[q]) if q < self.consensus.size else 0
 
-    def _decode_mapped(self, readers: dict[str, BitReader],
+    def _decode_mapped(self, blk: SAGeBlock, readers: dict[str, BitReader],
                        prev_cons: int) -> tuple[np.ndarray, int]:
-        arch = self.archive
-        level = arch.level
+        level = self.archive.level
+        w_cons = self.archive.w_cons
         cons = self.consensus
         mpa, mpga = readers["mpa"], readers["mpga"]
         mmpa, mmpga = readers["mmpa"], readers["mmpga"]
@@ -359,25 +323,25 @@ class SAGeDecompressor:
         corner, lengths = readers["corner"], readers["lengths"]
 
         # --- per-read header fields ---
-        if arch.fixed_length:
-            length = arch.fixed_read_length
+        if blk.fixed_length:
+            length = blk.fixed_read_length
         else:
-            length = arch.tables["len"].decode(lengths, lengths)
+            length = blk.tables["len"].decode(lengths, lengths)
         reverse = bool(mbta.read_bit())
         if level.reorder:
-            first_cons = prev_cons + arch.tables["mp"].decode(mpga, mpa)
+            first_cons = prev_cons + blk.tables["mp"].decode(mpga, mpa)
         else:
-            first_cons = mpa.read(arch.w_cons)
+            first_cons = mpa.read(w_cons)
         segments = [(0, first_cons)]
-        if level.chimeric and arch.long_reads:
+        if level.chimeric and blk.long_reads:
             if side.read_bit():
                 n_extra = side.read(2)
                 for _ in range(n_extra):
-                    core_start = side.read(arch.w_rlen)
-                    cons_start = side.read(arch.w_cons)
+                    core_start = side.read(blk.w_rlen)
+                    cons_start = side.read(w_cons)
                     segments.append((core_start, cons_start))
         if level.tuned_mismatch:
-            count = arch.tables["count"].decode(mmpga, mmpga)
+            count = blk.tables["count"].decode(mmpga, mmpga)
         else:
             count = mmpga.read(RAW_COUNT_BITS)
 
@@ -390,15 +354,16 @@ class SAGeDecompressor:
             has_n = bool(corner.read_bit())
             has_clip = bool(corner.read_bit())
             if has_n or has_clip:
-                n_runs, clip_s, clip_e = self._read_corner_payload(corner)
+                n_runs, clip_s, clip_e = self._read_corner_payload(
+                    corner, blk.w_rlen)
         elif count > 0:
-            pos0 = self._decode_position(0, readers, level)
+            pos0 = self._decode_position(blk, 0, readers, level)
             remaining -= 1
             if pos0 == 0:
                 if mbta.read_bit():
                     # Pseudo-mismatch: this read is a corner case.
                     n_runs, clip_s, clip_e = \
-                        self._read_corner_payload(corner)
+                        self._read_corner_payload(corner, blk.w_rlen)
                 else:
                     pending_pos = 0
             else:
@@ -435,11 +400,11 @@ class SAGeDecompressor:
                 pos = pending_pos
                 pending_pos = None
             else:
-                pos = self._decode_position(prev_pos, readers, level)
+                pos = self._decode_position(blk, prev_pos, readers, level)
                 remaining -= 1
             prev_pos = pos
             advance(pos)
-            read_ptr, q = self._apply_entry(pos, out, read_ptr, q,
+            read_ptr, q = self._apply_entry(blk, pos, out, read_ptr, q,
                                             readers, level)
 
         # Copy through any remaining segment tails.
@@ -463,17 +428,18 @@ class SAGeDecompressor:
         codes = seq.reverse_complement(oriented) if reverse else oriented
         return codes, first_cons
 
-    def _decode_position(self, prev_pos: int,
+    @staticmethod
+    def _decode_position(blk: SAGeBlock, prev_pos: int,
                          readers: dict[str, BitReader],
                          level: OptLevel) -> int:
         if level.tuned_mismatch:
-            delta = self.archive.tables["mmp"].decode(readers["mmpga"],
-                                                      readers["mmpa"])
+            delta = blk.tables["mmp"].decode(readers["mmpga"],
+                                             readers["mmpa"])
             return prev_pos + delta
-        return readers["mmpa"].read(self.archive.w_rlen)
+        return readers["mmpa"].read(blk.w_rlen)
 
-    def _apply_entry(self, pos: int, out: np.ndarray, read_ptr: int,
-                     q: int, readers: dict[str, BitReader],
+    def _apply_entry(self, blk: SAGeBlock, pos: int, out: np.ndarray,
+                     read_ptr: int, q: int, readers: dict[str, BitReader],
                      level: OptLevel) -> tuple[int, int]:
         """Decode one entry's body and apply it at the cursor."""
         mbta = readers["mbta"]
@@ -485,11 +451,11 @@ class SAGeDecompressor:
                 out[pos] = base                     # substitution
                 return read_ptr + 1, q + 1
             if mbta.read_bit() == INDEL_INS:
-                block = self._read_block_length(mmpa, mmpga, level)
+                block = self._read_block_length(blk, mmpa, mmpga, level)
                 for i in range(block):
                     out[pos + i] = mbta.read(2)
                 return read_ptr + block, q
-            block = self._read_block_length(mmpa, mmpga, level)
+            block = self._read_block_length(blk, mmpa, mmpga, level)
             return read_ptr, q + block              # deletion
 
         type_code = mbta.read(2)
@@ -497,20 +463,21 @@ class SAGeDecompressor:
             out[pos] = mbta.read(2)
             return read_ptr + 1, q + 1
         if type_code == TYPE_INS:
-            block = self._read_block_length(mmpa, mmpga, level)
+            block = self._read_block_length(blk, mmpa, mmpga, level)
             for i in range(block):
                 out[pos + i] = mbta.read(2)
             return read_ptr + block, q
         if type_code == TYPE_DEL:
-            block = self._read_block_length(mmpa, mmpga, level)
+            block = self._read_block_length(blk, mmpa, mmpga, level)
             return read_ptr, q + block
         raise DecompressionError(f"invalid mismatch type {type_code}")
 
-    def _read_block_length(self, mmpa: BitReader, mmpga: BitReader,
-                           level: OptLevel) -> int:
+    @staticmethod
+    def _read_block_length(blk: SAGeBlock, mmpa: BitReader,
+                           mmpga: BitReader, level: OptLevel) -> int:
         if not level.indel_blocks:
             return 1
-        indel_table = self.archive.tables.get("indel")
+        indel_table = blk.tables.get("indel")
         if indel_table is not None:
             return indel_table.decode(mmpga, mmpa)
         if mmpga.read_bit():
@@ -521,7 +488,8 @@ class SAGeDecompressor:
     # Corner payloads and unmapped reads
     # ------------------------------------------------------------------
 
-    def _read_corner_payload(self, corner: BitReader):
+    @staticmethod
+    def _read_corner_payload(corner: BitReader, w_rlen: int):
         has_n = bool(corner.read_bit())
         has_clip = bool(corner.read_bit())
         n_runs: list[tuple[int, int]] = []
@@ -529,24 +497,24 @@ class SAGeDecompressor:
         if has_n:
             n_count = corner.read(8)
             for _ in range(n_count):
-                pos = corner.read(self.archive.w_rlen)
+                pos = corner.read(w_rlen)
                 run = corner.read(8)
                 n_runs.append((pos, run))
         if has_clip:
-            len_s = corner.read(self.archive.w_rlen)
-            len_e = corner.read(self.archive.w_rlen)
+            len_s = corner.read(w_rlen)
+            len_e = corner.read(w_rlen)
             total = len_s + len_e
             payload = corner.read_bytes((3 * total + 7) // 8)
             clip = unpack_bits(payload, 3, total)
             clip_s, clip_e = clip[:len_s], clip[len_s:]
         return n_runs, clip_s, clip_e
 
-    def _decode_unmapped(self, reader: BitReader) -> np.ndarray:
-        arch = self.archive
-        if arch.fixed_length:
-            length = arch.fixed_read_length
+    @staticmethod
+    def _decode_unmapped(blk: SAGeBlock, reader: BitReader) -> np.ndarray:
+        if blk.fixed_length:
+            length = blk.fixed_read_length
         else:
-            length = reader.read(arch.w_rlen)
+            length = reader.read(blk.w_rlen)
         payload = reader.read_bytes((3 * length + 7) // 8)
         return unpack_bits(payload, 3, length)
 

@@ -152,12 +152,9 @@ def decoded_stream_bits(block: Any,
                         ) -> dict[str, int]:
     """Bits a selection actually decodes from one block, per group.
 
-    ``block`` is anything block-shaped — a
-    :class:`~repro.core.container.SAGeBlock` or a flat
-    :class:`~repro.core.container.SAGeArchive` — exposing ``streams``
-    (name → ``(payload, bit_length)``), ``quality`` and
-    ``headers_blob``.  The shared consensus is excluded: it is unpacked
-    once per pass, not per block.  This is the accounting behind
+    ``block`` is a :class:`~repro.core.container.SAGeBlock`.  The
+    shared consensus is excluded: it is unpacked once per pass, not per
+    block.  This is the accounting behind
     ``ExecutorStats.streams_decoded`` and the fig23 selective-decode
     savings measurement.
     """
@@ -167,12 +164,11 @@ def decoded_stream_bits(block: Any,
     if selection.sequence:
         bits["sequence"] = sum(
             stream_bits for name, (_, stream_bits) in block.streams.items()
-            if name not in ("consensus", "order"))
-    if selection.order and "order" in block.streams:
+            if name != "order")
+    if selection.order:
         bits["order"] = block.streams["order"][1]
-    if selection.quality and getattr(block, "quality", None) is not None:
+    if selection.quality and block.quality is not None:
         bits["quality"] = 8 * len(block.quality.payload)
-    if selection.headers and getattr(block, "headers_blob", None) \
-            is not None:
+    if selection.headers and block.headers_blob is not None:
         bits["headers"] = 8 * len(block.headers_blob)
     return bits

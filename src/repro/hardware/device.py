@@ -129,14 +129,11 @@ class SAGeDevice:
         from ..genomics.reads import Read
 
         def iter_codes():
-            if archive.is_blocked:
-                # Decode section by section: the blocks are the SSD's
-                # natural streaming unit (§5.3).
-                for index in range(archive.n_blocks):
-                    view = archive.block_view(index)
-                    yield from SAGeDecompressor(view).iter_read_codes()
-            else:
-                yield from SAGeDecompressor(archive).iter_read_codes()
+            # Decode section by section: the blocks are the SSD's
+            # natural streaming unit (§5.3).
+            decoder = SAGeDecompressor(archive)
+            for index in range(archive.n_blocks):
+                yield from decoder.iter_read_codes(archive.block(index))
 
         batch: list = []
         for i, codes in enumerate(iter_codes()):

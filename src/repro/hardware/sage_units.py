@@ -24,7 +24,7 @@ from ..core.bitio import BitReader
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
 from ..core.formats import OutputFormat, bits_per_base
-from ..genomics.reads import ReadSet
+from ..genomics.reads import Read, ReadSet
 from . import area_power
 from .ssd import SSDModel
 
@@ -107,73 +107,54 @@ class SAGeHardwareModel:
     def run(self, archive: SAGeArchive) -> tuple[ReadSet, HardwareRunStats]:
         """Decode an archive, returning reads + cycle/byte accounting.
 
-        Blocked (v3) archives decode section by section — each block is
-        an independent unit of work for a channel's SU/RCU array (§5.3)
-        — and the per-block accounting is merged.
+        Each block is an independent unit of work for a channel's
+        SU/RCU array (§5.3): blocks decode section by section and their
+        accounting is summed.
         """
-        if archive.is_blocked:
-            return self._run_blocked(archive)
         decoder = SAGeDecompressor(archive)
-        readers = {name: _CountingReader(payload, bits)
-                   for name, (payload, bits) in archive.streams.items()}
-        codes = list(decoder.iter_read_codes(readers))
-        stats = HardwareRunStats(n_reads=len(codes))
-        stats.stream_bits = {name: reader.bits_consumed
-                             for name, reader in readers.items()}
-        # The RCU streams the consensus exactly once: reads are sorted by
-        # matching position (§5.1.3), so consensus access is sequential.
-        stats.stream_bits["consensus"] = archive.streams["consensus"][1]
-        # The RCU walks the consensus (2 bits per copied base) as it
-        # reconstructs; charge the full output for the register traffic.
-        stats.output_bases = int(sum(c.size for c in codes))
-        su_bits = sum(stats.stream_bits.get(s, 0) for s in SU_STREAMS)
-        rcu_stream_bits = sum(stats.stream_bits.get(s, 0)
-                              for s in RCU_STREAMS)
-        stats.su_cycles = -(-su_bits // SU_BITS_PER_CYCLE)
-        # RCU: scan MBTA/corner through an 8-bit register, emit bases in
-        # 150-bp chunk copies (mismatch patches ride on the scan cost).
-        rcu_scan = -(-rcu_stream_bits // SU_BITS_PER_CYCLE)
-        rcu_emit = -(-stats.output_bases // READ_REGISTER_BP)
-        stats.rcu_cycles = rcu_scan + rcu_emit
-        stats.total_cycles = (max(stats.su_cycles, stats.rcu_cycles)
-                              + CU_CYCLES_PER_READ * stats.n_reads)
-        quality = archive.quality
-        reads = decoder.decompress() if quality is not None else None
-        if reads is None:
-            from ..genomics.reads import Read
-            reads = ReadSet([Read(c, header=f"hw.{i}")
-                             for i, c in enumerate(codes)],
-                            name=archive.name)
-        return reads, stats
-
-    def _run_blocked(
-            self, archive: SAGeArchive) -> tuple[ReadSet, HardwareRunStats]:
-        """Decode every block independently and merge the accounting."""
-        from ..genomics.reads import Read
-        total = HardwareRunStats()
-        merged: list = []
+        consensus_bits = archive.consensus_stream[1]
+        # The consensus is stored once and striped to every channel:
+        # its fetch is counted once, not once per block.
+        total = HardwareRunStats(stream_bits={"consensus": consensus_bits})
+        reads: list[Read] = []
         for index in range(archive.n_blocks):
-            view = archive.block_view(index)
-            reads, stats = self.run(view)
-            for name, bits in stats.stream_bits.items():
-                if name == "consensus" and index > 0:
-                    # The consensus is stored once and striped to every
-                    # channel; don't count its fetch per block.
-                    continue
-                total.stream_bits[name] = \
-                    total.stream_bits.get(name, 0) + bits
-            total.output_bases += stats.output_bases
-            total.n_reads += stats.n_reads
-            total.su_cycles += stats.su_cycles
-            total.rcu_cycles += stats.rcu_cycles
-            total.total_cycles += stats.total_cycles
-            merged.extend(reads)
-        has_quality = any(r.quality is not None for r in merged)
-        if not has_quality:
-            # Per-block fallback headers collide; re-enumerate globally.
-            merged = [Read(r.codes, header=f"hw.{i}")
-                      for i, r in enumerate(merged)]
-        return ReadSet(merged, name=archive.name), total
+            blk = archive.block(index)
+            readers = {name: _CountingReader(payload, bits)
+                       for name, (payload, bits) in blk.streams.items()}
+            codes = list(decoder.iter_read_codes(blk, readers))
+            bits = {name: reader.bits_consumed
+                    for name, reader in readers.items()}
+            for name, n in bits.items():
+                total.stream_bits[name] = total.stream_bits.get(name, 0) + n
+            # The RCU streams the consensus exactly once per block: reads
+            # are sorted by matching position (§5.1.3), so consensus
+            # access is sequential.
+            bits["consensus"] = consensus_bits
+            bases = int(sum(c.size for c in codes))
+            su_cycles = -(-sum(bits.get(s, 0) for s in SU_STREAMS)
+                          // SU_BITS_PER_CYCLE)
+            # RCU: scan MBTA/corner through an 8-bit register, emit bases
+            # in 150-bp chunk copies (mismatch patches ride on the scan
+            # cost).
+            rcu_cycles = (-(-sum(bits.get(s, 0) for s in RCU_STREAMS)
+                            // SU_BITS_PER_CYCLE)
+                          - (-bases // READ_REGISTER_BP))
+            total.su_cycles += su_cycles
+            total.rcu_cycles += rcu_cycles
+            total.total_cycles += (max(su_cycles, rcu_cycles)
+                                   + CU_CYCLES_PER_READ * len(codes))
+            total.n_reads += len(codes)
+            total.output_bases += bases
+            if blk.quality is not None:
+                reads.extend(decoder.decompress_block(index))
+            else:
+                reads.extend(Read(c) for c in codes)
+        if not any(r.quality is not None for r in reads):
+            # Quality-less reads get hardware fallback names, numbered
+            # across blocks.
+            reads = [Read(r.codes, header=f"hw.{i}")
+                     for i, r in enumerate(reads)]
+        return ReadSet(reads, name=archive.name), total
 
     # ------------------------------------------------------------------
     # Validation against the software decoders

@@ -8,7 +8,7 @@ pipeline simulator (:mod:`repro.pipeline.stages`) models that overlap;
 this module executes it in software.
 
 A :class:`StreamExecutor` decodes the independently decodable blocks of
-a v3 :class:`~repro.core.container.SAGeArchive` through a pluggable
+a :class:`~repro.core.container.SAGeArchive` through a pluggable
 backend (serial / thread pool / process pool) with bounded prefetch —
 the same ``INFLIGHT_PER_WORKER`` backpressure policy as the compression
 engine in :mod:`repro.core.blocks` — and yields each block's
@@ -25,6 +25,7 @@ dataset is never materialized.
 
 from __future__ import annotations
 
+import dataclasses
 import mmap
 import pickle
 import time
@@ -39,11 +40,10 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from ..core.blocks import BACKENDS, BlockDescriptor, imap_bounded
-from ..core.container import SAGeArchive, SAGeBlock, block_as_archive
+from ..core.container import SAGeArchive, SAGeBlock
 from ..core.decompressor import SAGeDecompressor
 from ..core.errors import BlockDecodeError, CorruptArchiveError, \
     SAGeError, TruncatedArchiveError
-from ..core.formats import unpack_bits
 from ..core.selection import STREAM_GROUPS, StreamSelection, \
     decoded_stream_bits
 from ..genomics import fastq
@@ -163,13 +163,8 @@ class Sink(Protocol):
 class _ArchiveTemplate:
     """The picklable global state a worker needs to decode any block."""
 
-    level: object
-    consensus_stream: tuple[bytes, int]
-    consensus_length: int
-    w_cons: int
-    preserve_order: bool
-    name: str
-    source_version: int
+    #: The archive's global fields and consensus, without any block.
+    archive: SAGeArchive
     codec: str = "auto"
     #: Archive file path for descriptor transport (``None`` = payload
     #: transport; workers then never touch the filesystem).
@@ -178,14 +173,15 @@ class _ArchiveTemplate:
     streams: tuple[str, ...] | None = None
 
 
-#: (template, unpacked consensus, archive mmap or None) installed by the
-#: pool initializer.
+#: (block decoder, stream selection, archive mmap or None) installed by
+#: the pool initializer.
 _decode_state: \
-    "tuple[_ArchiveTemplate, np.ndarray, mmap.mmap | None] | None" = None
+    "tuple[SAGeDecompressor, StreamSelection, mmap.mmap | None] | None" \
+    = None
 
 
 def _init_decode_worker(template: _ArchiveTemplate) -> None:
-    """Pool initializer: unpack the consensus and map the archive once.
+    """Pool initializer: build the decoder and map the archive once.
 
     A failed mapping (file moved/deleted between parent open and worker
     start) is not fatal here — descriptor tasks then raise a typed
@@ -193,8 +189,7 @@ def _init_decode_worker(template: _ArchiveTemplate) -> None:
     from its own mapping.
     """
     global _decode_state
-    consensus = unpack_bits(template.consensus_stream[0], 2,
-                            template.consensus_length)
+    decoder = SAGeDecompressor(template.archive, codec=template.codec)
     mapping: mmap.mmap | None = None
     if template.path is not None:
         try:
@@ -203,34 +198,8 @@ def _init_decode_worker(template: _ArchiveTemplate) -> None:
                                     access=mmap.ACCESS_READ)
         except (OSError, ValueError):
             mapping = None
-    _decode_state = (template, consensus, mapping)
-
-
-def _decode_payload(template: _ArchiveTemplate, consensus: np.ndarray,
-                    payload: "bytes | memoryview", base_reads: int
-                    ) -> "tuple[ReadSet, dict[str, int]]":
-    """Decode one serialized block payload against the shared consensus.
-
-    Pure function of its arguments — determinism here is what makes the
-    parallel decode byte-identical to the serial one.  Returns the
-    block's reads plus the per-group stream-bit accounting of what the
-    selection actually decoded.
-    """
-    select = StreamSelection.from_spec(template.streams)
-    blk = SAGeBlock.deserialize(payload)
-    view = block_as_archive(
-        blk, level=template.level,
-        consensus=template.consensus_stream,
-        consensus_length=template.consensus_length,
-        w_cons=template.w_cons,
-        preserve_order=template.preserve_order, name=template.name,
-        source_version=template.source_version)
-    base = base_reads if blk.headers_blob is None or not select.headers \
-        else None
-    read_set = SAGeDecompressor(view, consensus=consensus,
-                                codec=template.codec) \
-        .decompress(header_base=base, select=select)
-    return read_set, decoded_stream_bits(blk, select)
+    _decode_state = (decoder, StreamSelection.from_spec(template.streams),
+                     mapping)
 
 
 def _descriptor_payload(descriptor: BlockDescriptor,
@@ -274,13 +243,17 @@ def _decode_task(task: "tuple[bytes | None, BlockDescriptor | None, int, "
     policy sees one shape.
     """
     assert _decode_state is not None, "worker initializer did not run"
-    template, consensus, mapping = _decode_state
+    decoder, select, mapping = _decode_state
     payload, descriptor, base_reads, poison = task
     if poison is not None:
         raise poison
     if payload is None:
         payload = _descriptor_payload(descriptor, mapping)
-    return _decode_payload(template, consensus, payload, base_reads)
+    # Deterministic in the payload — what makes the parallel decode
+    # byte-identical to the serial one.
+    blk = SAGeBlock.deserialize(payload)
+    return (decoder.decode_block(blk, base_reads, select),
+            decoded_stream_bits(blk, select))
 
 
 class StreamExecutor:
@@ -289,8 +262,8 @@ class StreamExecutor:
     Parameters
     ----------
     archive:
-        The (ideally blocked v3) archive to decode.  Flat archives work
-        too — they are a single block, decoded serially.
+        The archive to decode.  A one-block archive is decoded
+        serially.
     options:
         :class:`repro.api.EngineOptions` supplying ``workers`` (decode
         parallelism; ``1`` is the serial reference path), ``backend``
@@ -453,11 +426,6 @@ class StreamExecutor:
             self.stats.bases += item.total_bases
         return item
 
-    def _block_n_reads(self, index: int) -> int:
-        arch = self.archive
-        if arch.is_blocked:
-            return arch.block_index()[index].n_reads
-        return arch.n_mapped + arch.n_unmapped
 
     def _resolve_failure(self, index: int, exc: Exception, *,
                          pooled: bool,
@@ -497,7 +465,8 @@ class StreamExecutor:
         self.stats.blocks_failed += 1
         if policy == "raise":
             raise last
-        gap = BlockGap(index, self._block_n_reads(index), last)
+        gap = BlockGap(index, self.archive.block_index()[index].n_reads,
+                       last)
         self.stats.blocks_skipped += 1
         self.stats.gaps.append(gap)
         return gap
@@ -514,8 +483,7 @@ class StreamExecutor:
         arch = self.archive
         read_set = decoder.decompress_block(index, codec=self.codec,
                                             select=select)
-        source = arch.block(index) if arch.is_blocked else arch
-        stream_bits = decoded_stream_bits(source, select)
+        stream_bits = decoded_stream_bits(arch.block(index), select)
         arch.release_block(index)
         return read_set, stream_bits
 
@@ -534,8 +502,7 @@ class StreamExecutor:
     def _iter_threaded(self, select: StreamSelection
                        ) -> Iterator["ReadSet | BlockGap"]:
         decoder = self.decompressor()
-        if self.archive.is_blocked:
-            self.archive.block_index()       # pre-build: no lazy races
+        self.archive.block_index()           # pre-build: no lazy races
         decode = partial(self._decode_in_parent, decoder, select=select)
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             yield from self._drain(pool, decode,
@@ -546,11 +513,8 @@ class StreamExecutor:
         arch = self.archive
         descriptors = arch.file_backed
         template = _ArchiveTemplate(
-            level=arch.level,
-            consensus_stream=arch.streams["consensus"],
-            consensus_length=arch.consensus_length, w_cons=arch.w_cons,
-            preserve_order=arch.preserve_order, name=arch.name,
-            source_version=arch.source_version, codec=self.codec,
+            archive=dataclasses.replace(arch, blocks=[None]),
+            codec=self.codec,
             path=str(arch.source_path) if descriptors else None,
             streams=None if select.is_all else select.names)
         index = arch.block_index()

@@ -41,7 +41,7 @@ __all__ = ["ArchiveServer", "DEFAULT_CACHE_BYTES", "REQUEST_OPTION_KEYS"]
 DEFAULT_CACHE_BYTES = 64 << 20
 
 #: EngineOptions fields a single request may override.  Everything else
-#: (level, with_quality, format_version, ...) shapes *encoding* or the
+#: (level, with_quality, block_reads, ...) shapes *encoding* or the
 #: session itself and stays server-side.
 REQUEST_OPTION_KEYS = frozenset({
     "codec", "mapper", "workers", "backend", "prefetch", "on_error",

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from repro.api import (CallableSink, EngineOptions, SAGeDataset,
-                       available_sinks, make_sink, register_sink,
-                       unregister_sink)
+                       atomic_write_bytes, available_sinks, make_sink,
+                       register_sink, unregister_sink)
 from repro.core import (OptLevel, SAGeArchive, SAGeCompressor, SAGeConfig,
                         compress_blocked)
-from repro.genomics import fastq
+from repro.genomics import datasets, fastq
 from repro.genomics import sequence as seq
-from repro.genomics.reads import partition_reads
+from repro.genomics.reads import ReadSet, partition_reads
+from repro.testing import to_v2_bytes, to_v3_bytes
 
 from tests.conftest import read_multiset
 
@@ -47,7 +48,7 @@ class TestEngineOptions:
         assert options.workers == 1
         assert options.backend == "auto"
         assert options.prefetch is None
-        assert not options.blocked
+        assert options.block_reads == 0
         assert options.level is OptLevel.O4
 
     @pytest.mark.parametrize("kwargs,fragment", [
@@ -67,8 +68,6 @@ class TestEngineOptions:
         assert EngineOptions(level="O2").level is OptLevel.O2
 
     def test_blocked_derivation(self):
-        assert EngineOptions(block_reads=64).blocked
-        assert EngineOptions(workers=4).blocked
         assert EngineOptions(workers=4).effective_block_reads > 0
         assert EngineOptions(block_reads=64).effective_block_reads == 64
 
@@ -140,7 +139,7 @@ class TestFacadeCompression:
             rs3_small.read_set, reference=rs3_small.reference,
             config=SAGeConfig(level=OptLevel.O1, with_quality=False))
         assert ds.archive.level is OptLevel.O1
-        assert ds.archive.quality is None
+        assert ds.archive.block(0).quality is None
 
 
 class TestFacadeSessions:
@@ -169,11 +168,33 @@ class TestFacadeSessions:
         ds = SAGeDataset.from_fastq(rs3_small.read_set,
                                     reference=rs3_small.reference)
         path = tmp_path / "flat.sage"
-        ds.save(path, version=2)
+        atomic_write_bytes(path, to_v2_bytes(ds.archive))
         with SAGeDataset.open(path) as session:
             assert session.format_version == 2
             assert read_multiset(session.read_set()) \
                 == read_multiset(rs3_small.read_set)
+
+    @pytest.mark.parametrize("partition", ["none", "all", "third"])
+    def test_order_preserving_names_survive_reopen(self, tmp_path,
+                                                   partition):
+        data = datasets.generate("RS2", base_genome=3_000, seed=1)
+        reads = ReadSet(list(data.read_set))          # unnamed input
+        n = len(reads)
+        block_reads = {"none": 0, "all": n, "third": n // 3}[partition]
+        ds = SAGeDataset.from_fastq(
+            reads, reference=data.reference,
+            options=EngineOptions(block_reads=block_reads),
+            config=SAGeConfig(preserve_order=True))
+        in_memory = io.StringIO()
+        ds.to_fastq(in_memory)
+        path = tmp_path / "ordered.sage"
+        ds.save(path)
+        with SAGeDataset.open(path) as session:
+            reopened = io.StringIO()
+            session.to_fastq(reopened)
+        assert reopened.getvalue() == in_memory.getvalue()
+        headers = reopened.getvalue().splitlines()[::4]
+        assert headers == [f"@sage.{i}" for i in range(n)]
 
     def test_requires_archive(self):
         with pytest.raises(TypeError):
@@ -319,19 +340,6 @@ class TestIntegrityAPI:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_format_version_option_downgrades(self, tmp_path, rs3_small):
-        ds = SAGeDataset.from_fastq(
-            rs3_small.read_set, reference=rs3_small.reference,
-            options=EngineOptions(block_reads=BLOCK_READS,
-                                  format_version=3))
-        assert ds.to_bytes()[4] == 3
-        path = tmp_path / "v3.sage"
-        ds.save(path)
-        with SAGeDataset.open(path) as session:
-            assert session.format_version == 3
-            assert read_multiset(session.read_set()) \
-                == read_multiset(rs3_small.read_set)
-
     def test_verify_ok(self, dataset):
         report = dataset.verify()
         assert report.status == "ok" and report.ok
@@ -342,7 +350,7 @@ class TestIntegrityAPI:
 
     def test_verify_pre_v4_unchecked(self, tmp_path, dataset):
         path = tmp_path / "v3.sage"
-        dataset.save(path, version=3)
+        atomic_write_bytes(path, to_v3_bytes(dataset.archive))
         with SAGeDataset.open(path) as session:
             report = session.verify()
             assert report.status == "unchecked"

@@ -3,7 +3,8 @@
 Covers the acceptance criteria of the block refactor: lossless round
 trips across all optimization levels and read-set families, byte-equal
 parallel/serial compression, isolated random-access block decoding, and
-v2 backward compatibility.
+v2 backward compatibility (legacy blobs come from
+:mod:`repro.testing.legacy`).
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.genomics.reads import ReadSet
 from repro.genomics.simulator import (ReadSimulator, long_read_profile,
                                       short_read_profile)
 from repro.mapping.mapper import MapperConfig
+from repro.testing import to_v2_bytes
 
 from tests.conftest import read_multiset
 
@@ -148,7 +150,7 @@ class TestRandomAccess:
     def test_out_of_range_block(self, loaded):
         archive, _ = loaded
         with pytest.raises(ContainerError):
-            archive.block_view(archive.n_blocks)
+            archive.block(archive.n_blocks)
 
     def test_flat_archive_is_block_zero(self, families):
         sim = families["short"]
@@ -157,7 +159,7 @@ class TestRandomAccess:
         decoded = SAGeDecompressor(archive).decompress_block(0)
         assert read_multiset(decoded) == read_multiset(sim.read_set)
         with pytest.raises(ContainerError):
-            archive.block_view(1)
+            archive.block(1)
 
 
 class TestContainerCompat:
@@ -165,28 +167,32 @@ class TestContainerCompat:
         sim = families["short"]
         archive = SAGeCompressor(sim.reference,
                                  SAGeConfig()).compress(sim.read_set)
-        blob = archive.to_bytes(version=2)
+        blob = to_v2_bytes(archive)
         back = SAGeArchive.from_bytes(blob)
         assert back.source_version == 2
-        assert back.streams == archive.streams
+        assert back.consensus_stream == archive.consensus_stream
+        assert back.block(0).streams == archive.block(0).streams
         decoded = SAGeDecompressor(back).decompress()
         assert read_multiset(decoded) == read_multiset(sim.read_set)
 
-    def test_blocked_archive_refuses_v2(self, families):
-        sim = families["short"]
-        archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), block_reads=BLOCK_READS)
-        with pytest.raises(ContainerError):
-            archive.to_bytes(version=2)
-
-    def test_v3_single_block_loads_flat(self, families):
-        sim = families["short"]
+    @pytest.mark.parametrize("config", [
+        SAGeConfig(),
+        SAGeConfig(with_quality=False, preserve_order=True,
+                   with_headers=True)])
+    def test_v2_blob_is_one_block_matching_v4(self, families, config):
+        sim = families["long"]
         archive = SAGeCompressor(sim.reference,
-                                 SAGeConfig()).compress(sim.read_set)
-        back = SAGeArchive.from_bytes(archive.to_bytes())
-        assert not back.is_blocked
+                                 config).compress(sim.read_set)
+        v4 = archive.to_bytes()
+        back = SAGeArchive.from_bytes(to_v2_bytes(archive))
         assert back.n_blocks == 1
-        assert back.streams == archive.streams
+        # Re-saving upgrades the v2 blob to the v4 bytes of the same
+        # reads, and both decode to the same FASTQ.
+        assert back.to_bytes() == v4
+        from_v2 = SAGeDecompressor(back).decompress()
+        from_v4 = SAGeDecompressor(SAGeArchive.from_bytes(v4)).decompress()
+        assert [(r.header, r.codes.tobytes()) for r in from_v2] \
+            == [(r.header, r.codes.tobytes()) for r in from_v4]
 
     def test_roundtrip_is_byte_stable(self, families):
         sim = families["short"]
@@ -224,7 +230,7 @@ class TestBlockedHardwarePath:
         assert stats.output_bases == sim.read_set.total_bases
         # Shared consensus fetched once, not once per block.
         assert stats.stream_bits["consensus"] \
-            == archive.streams["consensus"][1]
+            == archive.consensus_stream[1]
 
     def test_device_read_and_batches(self, blocked):
         from repro.hardware.device import SAGeDevice

@@ -5,6 +5,7 @@ import pytest
 from repro.core import SAGeCompressor, SAGeConfig
 from repro.core.container import (ContainerError, CorruptArchiveError,
                                   SAGeArchive, TruncatedArchiveError)
+from repro.testing import to_v3_bytes
 
 
 @pytest.fixture(scope="module")
@@ -28,21 +29,25 @@ class TestSerialization:
 
     def test_roundtrip_streams(self, archive):
         back = SAGeArchive.from_bytes(archive.to_bytes())
-        assert set(back.streams) == set(archive.streams)
-        for name, (payload, bits) in archive.streams.items():
-            assert back.streams[name] == (payload, bits)
+        assert back.consensus_stream == archive.consensus_stream
+        streams = archive.block(0).streams
+        assert set(back.block(0).streams) == set(streams)
+        for name, (payload, bits) in streams.items():
+            assert back.block(0).streams[name] == (payload, bits)
 
     def test_roundtrip_tables(self, archive):
         back = SAGeArchive.from_bytes(archive.to_bytes())
-        assert set(back.tables) == set(archive.tables)
-        for key, table in archive.tables.items():
-            assert back.tables[key].widths == table.widths
+        tables = archive.block(0).tables
+        assert set(back.block(0).tables) == set(tables)
+        for key, table in tables.items():
+            assert back.block(0).tables[key].widths == table.widths
 
     def test_roundtrip_quality(self, archive):
         back = SAGeArchive.from_bytes(archive.to_bytes())
-        assert back.quality is not None
-        assert back.quality.payload == archive.quality.payload
-        assert back.quality.n_scores == archive.quality.n_scores
+        quality = archive.block(0).quality
+        assert back.block(0).quality is not None
+        assert back.block(0).quality.payload == quality.payload
+        assert back.block(0).quality.n_scores == quality.n_scores
 
     def test_byte_size_tracks_blob(self, archive):
         blob = archive.to_bytes()
@@ -131,22 +136,18 @@ class TestChecksums:
         with pytest.raises(CorruptArchiveError):
             SAGeArchive.from_bytes(bytes(blob))
 
-    def test_v3_downgrade_roundtrips_byte_identical(self, archive):
-        v3 = archive.to_bytes(version=3)
-        assert v3[4] == 3
-        back = SAGeArchive.from_bytes(v3)
-        assert back.source_version == 3
-        assert not back.checksummed
-        assert back.to_bytes() == v3
-
     def test_v3_verify_reports_unchecked(self, archive):
-        back = SAGeArchive.from_bytes(archive.to_bytes(version=3))
+        back = SAGeArchive.from_bytes(to_v3_bytes(archive))
         report = back.verify_checksums()
         assert report["header"] == "unchecked"
         assert set(report["blocks"]) == {"unchecked"}
 
     def test_v4_upgrade_from_v3(self, archive):
-        back = SAGeArchive.from_bytes(archive.to_bytes(version=3))
-        upgraded = SAGeArchive.from_bytes(back.to_bytes(version=4))
+        back = SAGeArchive.from_bytes(to_v3_bytes(archive))
+        assert back.source_version == 3
+        assert not back.checksummed
+        upgraded = SAGeArchive.from_bytes(back.to_bytes())
         assert upgraded.checksummed
         assert upgraded.verify_checksums()["header"] == "ok"
+        # Re-saving a v3 archive writes exactly the v4 bytes.
+        assert back.to_bytes() == archive.to_bytes()

@@ -12,6 +12,7 @@ from repro.core.decompressor import SAGeDecompressor
 from repro.core.errors import (BlockDecodeError, ContainerError,
                                CorruptArchiveError, DecompressionError,
                                SAGeError, TruncatedArchiveError)
+from repro.testing import to_v2_bytes, to_v3_bytes
 
 
 @pytest.fixture(scope="module")
@@ -101,14 +102,13 @@ class TestBlockChecksums:
         arch = SAGeArchive.from_bytes(blob)
         assert arch.header_crc32() is not None
         assert arch.consensus_crc32() is not None
-        v3 = SAGeArchive.from_bytes(arch.to_bytes(version=3))
+        v3 = SAGeArchive.from_bytes(to_v3_bytes(arch))
         assert v3.header_crc32() is None
         assert v3.consensus_crc32() is None
 
     def test_consensus_crc_detects_damage(self, blocked):
         archive, blob = blocked
-        version = archive._layout_version()
-        head = len(archive._global_header_blob(version))
+        head = len(archive._global_header_blob())
         damaged = bytearray(blob)
         # First consensus payload byte: framing is 12 bytes in v4.
         damaged[head + 12] ^= 0x01
@@ -123,7 +123,7 @@ class TestContentCorruption:
 
     def test_v3_content_damage_is_typed(self, blocked):
         archive, _ = blocked
-        blob = archive.to_bytes(version=3)
+        blob = to_v3_bytes(archive)
         arch = SAGeArchive.from_bytes(blob)
         entry = arch.block_index()[0]
         for delta in range(8):
@@ -138,7 +138,7 @@ class TestContentCorruption:
     def test_flat_decode_wraps_kernel_errors(self, rs3_small):
         archive = SAGeCompressor(rs3_small.reference, SAGeConfig()) \
             .compress(rs3_small.read_set)
-        blob = archive.to_bytes(version=2)       # no digests at all
+        blob = to_v2_bytes(archive)              # no digests at all
         for offset in range(60, 68):
             damaged = bytearray(blob)
             damaged[offset] ^= 0xFF

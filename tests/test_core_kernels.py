@@ -265,8 +265,7 @@ class TestReaderErrorContext:
             rs3_small.reference,
             SAGeConfig(with_quality=False)).compress(rs3_small.read_set)
         clone = type(archive).from_bytes(archive.to_bytes())
-        clone.streams = dict(clone.streams)
-        clone.streams["mbta"] = (b"", 0)
+        clone.block(0).streams["mbta"] = (b"", 0)
         with pytest.raises((BitIOError, ValueError)) as err:
             SAGeDecompressor(clone, codec="python").decompress()
         assert "mbta" in str(err.value)
@@ -476,7 +475,8 @@ class TestCrossKernelFuzz:
 
 
 class TestFallbackHeaderNaming:
-    """decompress(header_base=) must not change legacy header naming."""
+    """Reads without stored headers are named ``{name}.{position}``
+    (final, order-restored position) on every decode path."""
 
     def test_flat_preserve_order_block_view_matches_decompress(
             self, fuzz_reference):
@@ -492,6 +492,7 @@ class TestFallbackHeaderNaming:
         whole = [r.header for r in decoder.decompress()]
         block0 = [r.header for r in decoder.decompress_block(0)]
         assert whole == block0
+        assert whole == [f"{reads.name}.{i}" for i in range(len(reads))]
 
     def test_blocked_fallback_headers_sequential(self, rs3_small):
         dataset = SAGeDataset.from_fastq(

@@ -248,7 +248,8 @@ class TestDescriptorTransport:
 
 @pytest.fixture(scope="module")
 def scaling_archives(tmp_path_factory):
-    """Two archives with identical block size, ~5x apart in bytes."""
+    """Two archives with identical block size, ~5x apart in bytes, plus
+    the larger read set written as one block."""
     from repro.genomics import datasets
 
     data = datasets.generate("RS2", base_genome=12_000)
@@ -263,6 +264,11 @@ def scaling_archives(tmp_path_factory):
         path = tmp / f"{name}.sage"
         atomic_write_bytes(path, dataset.to_bytes())
         out[name] = path
+    one_block = SAGeDataset.from_fastq(
+        ReadSet(reads), reference=data.reference,
+        options=EngineOptions(block_reads=0))
+    out["one_block"] = tmp / "one_block.sage"
+    atomic_write_bytes(out["one_block"], one_block.to_bytes())
     return out
 
 
@@ -284,22 +290,30 @@ class TestBoundedMemory:
     def test_open_touches_only_header(self, scaling_archives):
         """Opening an archive and reading its metadata allocates far
         less heap than the file: payloads stay in the mapping (the
-        eager path starts by reading the whole file into bytes)."""
-        path = scaling_archives["large"]
-        file_size = path.stat().st_size
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            archive = SAGeArchive.open(path)
-            archive.block_index()
-            _ = archive.n_reads, archive.consensus_length
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-            archive.close()
-        assert archive.n_blocks > 30
-        assert peak < file_size / 3, \
-            f"open() heap {peak} vs file {file_size}"
+        eager path starts by reading the whole file into bytes).  A
+        one-block archive opens the same way: its block stays unparsed
+        and its payload can ship as a descriptor."""
+        n_blocks = {}
+        for name in ("large", "one_block"):
+            path = scaling_archives[name]
+            file_size = path.stat().st_size
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                archive = SAGeArchive.open(path)
+                archive.block_index()
+                _ = archive.n_reads, archive.consensus_length
+                _, peak = tracemalloc.get_traced_memory()
+                n_blocks[name] = archive.n_blocks
+                assert archive.blocks == [None] * n_blocks[name]
+                assert archive.file_backed
+            finally:
+                tracemalloc.stop()
+                archive.close()
+            assert peak < file_size / 3, \
+                f"{name}: open() heap {peak} vs file {file_size}"
+        assert n_blocks["large"] > 30
+        assert n_blocks["one_block"] == 1
 
     @pytest.mark.parametrize("backend,workers", BACKEND_MATRIX)
     def test_streaming_peak_scales_sublinearly(self, scaling_archives,
